@@ -9,7 +9,8 @@
 # cache tier's tests + tiny bench, run the generated-workload differential
 # harness (seed-matrix oracle + crash fuzz + tiny scenario bench) and diff
 # the paper benches against their committed golden stdout (the cache-off
-# byte-identity contract), then build with ThreadSanitizer and run the
+# byte-identity contract), smoke the four-workload end-to-end benchmark
+# (bench/e2e), then build with ThreadSanitizer and run the
 # buffer-pool, object-cache and concurrent-replay stress tests.
 #
 # Usage: ci/check.sh [build-dir]     (default: build)
@@ -162,11 +163,14 @@ fi
 
 echo "== object cache =="
 # The assembled-object cache tier: unit + store-level + crash-safety tests
-# run loudly (they run in ctest too), then a tiny skewed-Get sweep over all
-# five models x both backends x enabled/disabled (emits BENCH_objcache.json;
+# and the read-path shape tests (one chained call per cold Get, cache on
+# and off) run loudly (they run in ctest too), then a tiny skewed-Get
+# sweep over all five models x both backends x enabled/disabled (emits
+# BENCH_objcache.json;
 # archived ungated — speedups are runner hardware, the full-size run's
 # hot-mix speedup is the acceptance number).
-"$BUILD_DIR/starfish_tests" --gtest_filter='*ObjCache*:*ObjectCache*'
+"$BUILD_DIR/starfish_tests" \
+    --gtest_filter='*ObjCache*:*ObjectCache*:*ReadPathPrefetch*'
 (cd "$BUILD_DIR" && ./bench_objcache --tiny)
 
 echo "== workload: generated-scenario differential harness =="
@@ -202,6 +206,16 @@ for b in "${PAPER_BENCHES[@]}"; do
   }
 done
 echo "all ${#PAPER_BENCHES[@]} paper benches byte-identical"
+
+echo "== end-to-end benchmark (smoke) =="
+# The four bench/e2e workloads on small stores, 1 s each, untraced. Each
+# run is checked against the workload oracle and fails the stage on a
+# failed op or a digest mismatch. run.sh builds its own copy of the
+# library into .bench_build/e2e, falls back from O_DIRECT to mmap where
+# the filesystem refuses it (the row records the backend used), and
+# writes the rows to .bench_build/e2e/BENCH_e2e.json. Archived ungated:
+# smoke-sized numbers are not comparable with the committed reference.
+"$REPO_ROOT/bench/e2e/run.sh" --smoke
 
 echo "== hot-path bench (mem backend) =="
 # Emits BENCH_hotpath.json into the build dir; archive it from CI to watch

@@ -754,15 +754,30 @@ Status ComplexObjectStore::Put(ObjectRef ref, const Tuple& object) {
 
 Result<Tuple> ComplexObjectStore::Get(ObjectRef ref,
                                       const Projection& projection) {
-  if (objcache_ == nullptr) return model_->GetByRef(ref, projection);
+  if (objcache_ == nullptr) return ReadObject(ref, projection);
   return CachedGet(ref, projection);
 }
 
 Result<Tuple> ComplexObjectStore::Get(ObjectRef ref) {
   if (objcache_ == nullptr) {
-    return model_->GetByRef(ref, Projection::All(*schema_));
+    return ReadObject(ref, Projection::All(*schema_));
   }
   return CachedGet(ref, Projection::All(*schema_));
+}
+
+Result<Tuple> ComplexObjectStore::ReadObject(ObjectRef ref,
+                                             const Projection& projection) {
+  // One chained call for every page the model can name up front, so the
+  // assembly below fixes them as hits. The per-thread scratch keeps the
+  // steady state allocation-free; concurrent readers each have their own.
+  thread_local std::vector<PageId> pages;
+  pages.clear();
+  model_->CollectReadPages(ref, projection, &pages);
+  if (pages.size() >= 2) {
+    STARFISH_RETURN_NOT_OK(
+        engine_->buffer()->Prefetch(pages, PrefetchMode::kChained));
+  }
+  return model_->GetByRef(ref, projection);
 }
 
 Result<Tuple> ComplexObjectStore::CachedGet(ObjectRef ref,
@@ -788,7 +803,7 @@ Result<Tuple> ComplexObjectStore::CachedGet(ObjectRef ref,
   std::vector<PageId> pages;
   Result<Tuple> full_or = [&] {
     BufferManager::ThreadReadCaptureScope capture(&pages);
-    return model_->GetByRef(ref, Projection::All(*schema_));
+    return ReadObject(ref, Projection::All(*schema_));
   }();
   if (!full_or.ok()) {
     // A NotFound verdict from the model is worth remembering: record it

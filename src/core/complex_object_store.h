@@ -485,6 +485,14 @@ class ComplexObjectStore {
   Status ApplyCompensation(const StoreTransaction::UndoRecord& undo,
                            StoreTransaction* txn);
 
+  /// The model read behind every store Get: first reads the pages the
+  /// model names up front (StorageModel::CollectReadPages) in ONE chained
+  /// call when there are at least two, then assembles through GetByRef,
+  /// whose fixes now hit. A failed prefetch returns its Status before any
+  /// page is pinned. Model-level GetByRef (what the paper benches drive)
+  /// keeps its one-call-per-relation pattern.
+  Result<Tuple> ReadObject(ObjectRef ref, const Projection& projection);
+
   /// Get through the object cache (objcache_ != nullptr): serve hits from
   /// the assembled entry, assemble misses under a read-page capture and
   /// publish them epoch-guarded.

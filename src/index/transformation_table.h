@@ -48,6 +48,14 @@ class TransformationTable {
     return it->second;
   }
 
+  /// Address list for `key` without copying it, or nullptr. The pointer
+  /// stays valid until the next mutation of the table — the same
+  /// single-writer / multi-reader window every read path already runs in.
+  const std::vector<Tid>* Find(int64_t key) const {
+    auto it = map_.find(key);
+    return it == map_.end() ? nullptr : &it->second;
+  }
+
   /// Replaces one address in `key`'s list (old -> new), e.g. after a record
   /// moved. NotFound if the pair is absent.
   Status Replace(int64_t key, const Tid& old_addr, const Tid& new_addr) {

@@ -10,6 +10,10 @@ namespace starfish {
 namespace {
 // key_of_ref_ sentinel for "ref not in use" (keys may legitimately be 0).
 constexpr int64_t kNoKey = std::numeric_limits<int64_t>::min();
+
+Status NoObject(ObjectRef ref) {
+  return Status::NotFound("no object with ref " + std::to_string(ref));
+}
 }  // namespace
 
 DasdbsNsmModel::DasdbsNsmModel(ModelConfig config, NsmDecomposition decomp)
@@ -148,7 +152,7 @@ Status DasdbsNsmModel::Insert(ObjectRef ref, const Tuple& object) {
 
 Status DasdbsNsmModel::ReplaceObject(ObjectRef ref, const Tuple& new_object) {
   if (ref >= key_of_ref_.size() || key_of_ref_[ref] == kNoKey) {
-    return Status::NotFound("no object with ref " + std::to_string(ref));
+    return NoObject(ref);
   }
   const int64_t key = key_of_ref_[ref];
   STARFISH_ASSIGN_OR_RETURN(int64_t new_key, KeyOf(new_object));
@@ -175,7 +179,7 @@ Status DasdbsNsmModel::ReplaceObject(ObjectRef ref, const Tuple& new_object) {
 
 Status DasdbsNsmModel::Remove(ObjectRef ref) {
   if (ref >= key_of_ref_.size() || key_of_ref_[ref] == kNoKey) {
-    return Status::NotFound("no object with ref " + std::to_string(ref));
+    return NoObject(ref);
   }
   const int64_t key = key_of_ref_[ref];
   STARFISH_ASSIGN_OR_RETURN(std::vector<Tid> tids, table_.Get(key));
@@ -214,12 +218,26 @@ Result<Tuple> DasdbsNsmModel::AssembleFrom(const std::vector<Tid>& tids,
   return decomp_.Assemble(parts, proj);
 }
 
-Result<Tuple> DasdbsNsmModel::GetByRef(ObjectRef ref, const Projection& proj) {
-  if (ref >= key_of_ref_.size()) {
-    return Status::NotFound("no object with ref " + std::to_string(ref));
+const std::vector<Tid>* DasdbsNsmModel::TidsOf(ObjectRef ref) const {
+  return ref < key_of_ref_.size() ? table_.Find(key_of_ref_[ref]) : nullptr;
+}
+
+void DasdbsNsmModel::CollectReadPages(ObjectRef ref, const Projection& proj,
+                                      std::vector<PageId>* out) const {
+  const std::vector<Tid>* tids = TidsOf(ref);
+  if (tids == nullptr) return;
+  // Exactly the relations AssembleFrom reads: the root always, the rest
+  // when projected. Each tuple's first page is the one its read fixes first.
+  for (PathId p = 0; p < tids->size(); ++p) {
+    if (p != kRootPath && !proj.Includes(p)) continue;
+    if ((*tids)[p].valid()) out->push_back((*tids)[p].page);
   }
-  STARFISH_ASSIGN_OR_RETURN(std::vector<Tid> tids, table_.Get(key_of_ref_[ref]));
-  return AssembleFrom(tids, proj);
+}
+
+Result<Tuple> DasdbsNsmModel::GetByRef(ObjectRef ref, const Projection& proj) {
+  const std::vector<Tid>* tids = TidsOf(ref);
+  if (tids == nullptr) return NoObject(ref);
+  return AssembleFrom(*tids, proj);
 }
 
 Result<Tuple> DasdbsNsmModel::GetByKey(int64_t key, const Projection& proj) {
@@ -288,10 +306,9 @@ Status DasdbsNsmModel::ScanAll(const Projection& proj, const ScanCallback& fn) {
 }
 
 Result<std::vector<ObjectRef>> DasdbsNsmModel::GetChildRefs(ObjectRef ref) {
-  if (ref >= key_of_ref_.size()) {
-    return Status::NotFound("no object with ref " + std::to_string(ref));
-  }
-  STARFISH_ASSIGN_OR_RETURN(std::vector<Tid> tids, table_.Get(key_of_ref_[ref]));
+  const std::vector<Tid>* found = TidsOf(ref);
+  if (found == nullptr) return NoObject(ref);
+  const std::vector<Tid>& tids = *found;
 
   // Fast path: links confined to one non-root path — one addressed record
   // read, rows re-ordered by OwnKey (document order).
@@ -339,13 +356,11 @@ Result<std::vector<ObjectRef>> DasdbsNsmModel::GetChildRefs(ObjectRef ref) {
 }
 
 Result<Tuple> DasdbsNsmModel::GetRootRecord(ObjectRef ref) {
-  if (ref >= key_of_ref_.size()) {
-    return Status::NotFound("no object with ref " + std::to_string(ref));
-  }
-  STARFISH_ASSIGN_OR_RETURN(std::vector<Tid> tids, table_.Get(key_of_ref_[ref]));
+  const std::vector<Tid>* tids = TidsOf(ref);
+  if (tids == nullptr) return NoObject(ref);
   ShreddedObject parts(decomp_.relations().size());
   STARFISH_ASSIGN_OR_RETURN(std::vector<RecordRegion> regions,
-                            stores_[kRootPath]->ReadAll(tids[kRootPath]));
+                            stores_[kRootPath]->ReadAll((*tids)[kRootPath]));
   STARFISH_ASSIGN_OR_RETURN(Tuple root_flat,
                             serializers_[kRootPath]->FromRegionsAll(regions));
   parts[kRootPath].push_back(std::move(root_flat));
@@ -354,7 +369,7 @@ Result<Tuple> DasdbsNsmModel::GetRootRecord(ObjectRef ref) {
 
 Status DasdbsNsmModel::UpdateRootRecord(ObjectRef ref, const Tuple& new_root) {
   if (ref >= key_of_ref_.size()) {
-    return Status::NotFound("no object with ref " + std::to_string(ref));
+    return NoObject(ref);
   }
   const int64_t key = key_of_ref_[ref];
   STARFISH_ASSIGN_OR_RETURN(int64_t new_key, KeyOf(new_root));

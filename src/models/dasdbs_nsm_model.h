@@ -53,6 +53,10 @@ class DasdbsNsmModel : public StorageModel {
   /// set is every path segment.
   void CollectWriteSegments(ObjectRef ref,
                             std::vector<Segment*>* out) const override;
+  /// The first page of the root tuple and of every projected relation
+  /// tuple, straight from the transformation table.
+  void CollectReadPages(ObjectRef ref, const Projection& proj,
+                        std::vector<PageId>* out) const override;
 
   const NsmDecomposition& decomposition() const { return decomp_; }
   Segment* segment(PathId path) { return segments_[path]; }
@@ -70,6 +74,10 @@ class DasdbsNsmModel : public StorageModel {
 
  private:
   DasdbsNsmModel(ModelConfig config, NsmDecomposition decomp);
+
+  /// The per-path addresses of the object under `ref` (no copy), or
+  /// nullptr when no object is stored there.
+  const std::vector<Tid>* TidsOf(ObjectRef ref) const;
 
   /// Reads and un-nests the relation tuple of `path` at `tid` into flat
   /// NSM rows.

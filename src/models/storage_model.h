@@ -164,6 +164,16 @@ class StorageModel {
   virtual void CollectWriteSegments(ObjectRef ref,
                                     std::vector<Segment*>* out) const = 0;
 
+  /// Appends the pages a GetByRef(ref, proj) will fix first, when the model
+  /// knows them from its in-memory tables alone (no I/O). The store reads
+  /// them in one chained call before assembling, so an object spread over
+  /// several relations costs one device round trip instead of one per
+  /// relation. Appends nothing for an absent ref. The default appends
+  /// nothing: NSM has no addresses without a scan, and the direct models
+  /// keep each object in one complex record that already reads chained.
+  virtual void CollectReadPages(ObjectRef /*ref*/, const Projection& /*proj*/,
+                                std::vector<PageId>* /*out*/) const {}
+
   /// The full current object under `ref`, read for logical-undo capture
   /// before an in-transaction Replace/Remove/UpdateRoot mutates it.
   /// Defaults to GetByRef with an all-projection; plain NSM (no by-ref
