@@ -36,11 +36,10 @@
 //
 //   --threads K     per-thread-scaling section over the direct backend:
 //                   1/2/4/8 concurrent submitters (capped at K), each
-//                   running its own completion-driven PrefetchStream over
-//                   ONE shared sharded buffer pool, once with per-thread
-//                   io_uring rings and once with the pre-rework
-//                   single-ring-mutex baseline (RingMode::kShared) — the
-//                   JSON rows show what the rework buys at equal work.
+//                   running its own completion-driven PrefetchStream, and
+//                   so its own io_uring ring, over ONE shared sharded
+//                   buffer pool — the JSON rows show how device
+//                   throughput scales with submitters at equal work.
 //   --models        loads the paper's FIVE storage models through the real
 //                   StorageEngine on the direct backend (pool sized far
 //                   below the data) and replays the query suite; the same
@@ -359,11 +358,10 @@ std::vector<std::string> Ranking(const std::vector<MixResult>& results,
 // ---------------------------------------------------------------------------
 // Per-thread-scaling section (--threads): N submitters, each driving its own
 // completion-driven PrefetchStream over one shared sharded pool, on the
-// direct backend — per-thread rings vs the single-ring-mutex baseline.
+// direct backend (one io_uring ring per submitting thread).
 // ---------------------------------------------------------------------------
 
 struct ScalingRow {
-  std::string ring_mode;  ///< "per_thread" | "shared_mutex"
   uint32_t threads = 0;
   double measured_ms = 0;
   double pages_per_sec = 0;
@@ -404,7 +402,7 @@ std::vector<ScalingRow> RunThreadScaling(const Config& config,
   const std::string dir = config.dir + "_scaling";
   std::filesystem::remove_all(dir);
 
-  // Load once; every (mode, threads) row reopens the same data.
+  // Load once; the scaling rows run on a fresh open of the same data.
   {
     auto disk_or =
         DirectVolume::Open(dir, DiskOptions{config.page_size, 4u << 20});
@@ -425,12 +423,9 @@ std::vector<ScalingRow> RunThreadScaling(const Config& config,
   const uint64_t n_objects = n_pages / kPagesPerObject;
   const uint64_t n_fetch = std::max<uint64_t>(256, n_objects * 2);
 
-  for (const bool shared : {false, true}) {
-    DirectVolumeOptions ring;
-    ring.ring_mode = shared ? DirectVolumeOptions::RingMode::kShared
-                            : DirectVolumeOptions::RingMode::kPerThread;
+  {
     auto disk_or =
-        DirectVolume::Open(dir, DiskOptions{config.page_size, 4u << 20}, ring);
+        DirectVolume::Open(dir, DiskOptions{config.page_size, 4u << 20});
     if (!disk_or.ok()) Fatal("scaling reopen", disk_or.status());
     auto disk = std::move(disk_or).value();
 
@@ -466,7 +461,6 @@ std::vector<ScalingRow> RunThreadScaling(const Config& config,
 
       const IoStats io = disk->stats();
       ScalingRow row;
-      row.ring_mode = shared ? "shared_mutex" : "per_thread";
       row.threads = t;
       row.measured_ms = seconds * 1e3;
       row.pages_per_sec = static_cast<double>(io.pages_read) / seconds;
@@ -756,11 +750,11 @@ int Run(const Config& config) {
       direct_skipped = true;
       if (direct_skip_reason.empty()) direct_skip_reason = scaling_skip_reason;
     } else {
-      std::printf("%-14s %8s %12s %14s %10s %6s\n", "RING MODE", "threads",
-                  "measured ms", "pages/sec", "pages", "async");
+      std::printf("%8s %12s %14s %10s %6s\n", "threads", "measured ms",
+                  "pages/sec", "pages", "async");
       for (const ScalingRow& row : scaling) {
-        std::printf("%-14s %8u %12.2f %14.0f %10" PRIu64 " %6s\n",
-                    row.ring_mode.c_str(), row.threads, row.measured_ms,
+        std::printf("%8u %12.2f %14.0f %10" PRIu64 " %6s\n", row.threads,
+                    row.measured_ms,
                     row.pages_per_sec, row.pages_read,
                     row.async_active ? "yes" : "no");
       }
@@ -845,11 +839,11 @@ int Run(const Config& config) {
       const ScalingRow& row = scaling[i];
       char buf[384];
       std::snprintf(buf, sizeof(buf),
-                    "    {\"ring_mode\": \"%s\", \"threads\": %u, "
+                    "    {\"threads\": %u, "
                     "\"measured_ms\": %.3f, \"pages_per_sec\": %.0f, "
                     "\"read_calls\": %" PRIu64 ", \"pages_read\": %" PRIu64
                     ", \"async_prefetch\": %s}%s\n",
-                    row.ring_mode.c_str(), row.threads, row.measured_ms,
+                    row.threads, row.measured_ms,
                     row.pages_per_sec, row.read_calls, row.pages_read,
                     row.async_active ? "true" : "false",
                     i + 1 < scaling.size() ? "," : "");

@@ -144,8 +144,8 @@ fi
 echo "== out-of-core bench (tiny smoke, ranking-gated) =="
 # Modelled-vs-measured ms per access mix over mmap + direct (emits
 # BENCH_outofcore.json), PLUS the PR 8 sections: per-thread-ring scaling
-# rows at 1/2/4 submitters (completion-driven PrefetchStream per thread,
-# per-thread rings vs the single-ring-mutex baseline) and the five-model
+# rows at 1/2/4 submitters (completion-driven PrefetchStream, and so one
+# io_uring ring, per thread) and the five-model
 # out-of-core reproduction (Table 4/5/6 fetch-shape rankings must match
 # the in-memory expectation). --gate-ranking FAILS the build when the
 # direct backend's measured ranking diverges from the Eq.-1 model or the
@@ -253,12 +253,12 @@ echo "== mt-read bench (mmap backend) =="
 # Archived ungated, like the mmap hot-path run.
 (cd "$BUILD_DIR" && ./bench_mt_read --backend mmap)
 
-echo "== mt-read bench (direct backend: per-thread rings vs shared) =="
-# Raw device read throughput through SubmitReadChained pipelines, per-
-# thread io_uring rings vs the pre-rework single-ring-mutex baseline
-# (emits BENCH_mt_read_direct.json; skip-tolerant without O_DIRECT).
-# Archived ungated in CI — the committed reference rows document the
-# scaling the rework bought on the reference runner.
+echo "== mt-read bench (direct backend: per-thread rings) =="
+# Raw device read throughput through SubmitReadChained pipelines over
+# per-thread io_uring rings at 1/2/4/8 threads (emits
+# BENCH_mt_read_direct.json; skip-tolerant without O_DIRECT). Archived
+# ungated in CI (no --min-speedup): the committed reference rows document
+# how far the device scales on the reference runner.
 (cd "$BUILD_DIR" && ./bench_mt_read --backend direct)
 
 if [[ "${STARFISH_SKIP_TSAN:-0}" == "1" ]]; then

@@ -174,14 +174,14 @@ struct DirectVolume::RingRegistry {
 
 /// Minimal raw-syscall io_uring wrapper (no liburing dependency): one
 /// submission/completion ring pair with ticketed completions. A ring is
-/// owned by exactly one submitting thread (RingMode::kPerThread — no lock
-/// anywhere) or shared behind `mu` (kShared/kSqpoll). SubmitTicket pushes
-/// a batch of read or write SQEs and returns a ticket; WaitTicket blocks
-/// until that ticket's completions have all landed, finishing any short
-/// transfer synchronously — the synchronous Execute path is simply
-/// submit-then-wait, and the async prefetch path holds several tickets in
-/// flight. Null from Create means the kernel refused (ENOSYS, seccomp
-/// EPERM, sysctl-disabled) and the volume runs on pread/pwrite instead.
+/// owned by exactly one submitting thread, so no lock guards it.
+/// SubmitTicket pushes a batch of read or write SQEs and returns a ticket;
+/// WaitTicket blocks until that ticket's completions have all landed,
+/// finishing any short transfer synchronously — the synchronous Execute
+/// path is simply submit-then-wait, and the async prefetch path holds
+/// several tickets in flight. Null from Create means the kernel refused
+/// (ENOSYS, seccomp EPERM, sysctl-disabled) and the volume runs on
+/// pread/pwrite instead.
 struct DirectVolume::IoRing {
 #if STARFISH_HAVE_IO_URING
   int ring_fd = -1;
@@ -198,12 +198,10 @@ struct DirectVolume::IoRing {
   unsigned* sq_tail = nullptr;
   unsigned* sq_mask = nullptr;
   unsigned* sq_array = nullptr;
-  unsigned* sq_flags = nullptr;
   unsigned* cq_head = nullptr;
   unsigned* cq_tail = nullptr;
   unsigned* cq_mask = nullptr;
   struct io_uring_cqe* cqes = nullptr;
-  bool sqpoll = false;
 
   /// True after an error left submissions in an indeterminate state (SQEs
   /// queued but never handed to the kernel, or completions that could not
@@ -224,12 +222,10 @@ struct DirectVolume::IoRing {
   /// use_count()==1 observation carries no such edge.
   std::atomic<bool> owner_detached{false};
 
-  /// Shared modes only; per-thread rings are single-owner and lock-free.
-  std::mutex mu;
-
-  // Registration state. Owner-thread-only (or under mu in shared modes).
-  bool want_buffers = false;
-  bool want_files = false;
+  // Registration state, owner-thread-only. want_* drop to false for good
+  // when the kernel refuses that registration on this ring.
+  bool want_buffers = true;
+  bool want_files = true;
   bool bufs_registered = false;
   uint64_t bufs_version = 0;  ///< registry regions_version last synced
   std::vector<RingRegistry::Region> buf_regions;  ///< index == buf_index
@@ -274,21 +270,15 @@ struct DirectVolume::IoRing {
     }
   }
 
-  static std::shared_ptr<IoRing> Create(uint32_t depth, bool want_sqpoll,
-                                        uint32_t sqpoll_idle_ms) {
+  static std::shared_ptr<IoRing> Create(uint32_t depth) {
     struct io_uring_params params;
     std::memset(&params, 0, sizeof(params));
-    if (want_sqpoll) {
-      params.flags |= IORING_SETUP_SQPOLL;
-      params.sq_thread_idle = sqpoll_idle_ms;
-    }
-    const int fd = SysIoUringSetup(depth, &params);
+    const int fd = SysIoUringSetup(std::max(1u, depth), &params);
     if (fd < 0) return nullptr;
     auto ring = std::make_shared<IoRing>();
     ring->ring_fd = fd;
     ring->sq_entries = params.sq_entries;
     ring->cq_entries = params.cq_entries;
-    ring->sqpoll = want_sqpoll;
     size_t sq_len = params.sq_off.array + params.sq_entries * sizeof(unsigned);
     size_t cq_len = params.cq_off.cqes +
                     params.cq_entries * sizeof(struct io_uring_cqe);
@@ -326,8 +316,6 @@ struct DirectVolume::IoRing {
     ring->sq_mask =
         reinterpret_cast<unsigned*>(sq_base + params.sq_off.ring_mask);
     ring->sq_array = reinterpret_cast<unsigned*>(sq_base + params.sq_off.array);
-    ring->sq_flags =
-        reinterpret_cast<unsigned*>(sq_base + params.sq_off.flags);
     ring->cq_head = reinterpret_cast<unsigned*>(cq_base + params.cq_off.head);
     ring->cq_tail = reinterpret_cast<unsigned*>(cq_base + params.cq_off.tail);
     ring->cq_mask =
@@ -437,12 +425,6 @@ struct DirectVolume::IoRing {
     sqe->user_data = user_data;
   }
 
-  /// SQ slots a SQPOLL kernel thread has not consumed yet.
-  unsigned SqRoom() const {
-    const unsigned head = __atomic_load_n(sq_head, __ATOMIC_ACQUIRE);
-    return sq_entries - (*sq_tail - head);
-  }
-
   /// Attributes one CQE back to its pending ticket, finishing short
   /// transfers synchronously.
   void HandleCqe(const struct io_uring_cqe& cqe) {
@@ -533,9 +515,8 @@ struct DirectVolume::IoRing {
       const unsigned cq_room = cq_entries > in_flight
                                    ? cq_entries - in_flight
                                    : 0;
-      unsigned batch = static_cast<unsigned>(
+      const unsigned batch = static_cast<unsigned>(
           std::min<size_t>({count - done, sq_entries, cq_room}));
-      if (sqpoll && batch > 0) batch = std::min(batch, SqRoom());
       if (batch == 0) {
         const Status st = Reap(/*blocking=*/true);
         if (!st.ok()) {
@@ -554,17 +535,6 @@ struct DirectVolume::IoRing {
         sq_array[idx] = idx;
       }
       __atomic_store_n(sq_tail, tail + batch, __ATOMIC_RELEASE);
-      if (sqpoll) {
-        // The kernel thread consumes the SQ on its own; we only need a
-        // wakeup syscall when it went to sleep.
-        in_flight += batch;
-        if ((__atomic_load_n(sq_flags, __ATOMIC_ACQUIRE) &
-             IORING_SQ_NEED_WAKEUP) != 0) {
-          (void)SysIoUringEnter(ring_fd, 0, 0, IORING_ENTER_SQ_WAKEUP);
-        }
-        done += batch;
-        continue;
-      }
       unsigned submitted = 0;
       Status submit_error;
       while (submitted < batch) {
@@ -628,14 +598,9 @@ struct DirectVolume::IoRing {
     return result;
   }
 #else   // !STARFISH_HAVE_IO_URING
-  bool sqpoll = false;
-  std::atomic<bool> broken{false};
-  std::atomic<bool> down{false};
   std::atomic<bool> owner_detached{false};
-  std::mutex mu;
-  bool want_buffers = false, want_files = false;
   bool bufs_registered = false, files_registered = false;
-  static std::shared_ptr<IoRing> Create(uint32_t, bool, uint32_t) {
+  static std::shared_ptr<IoRing> Create(uint32_t) {
     return nullptr;
   }
   void Shutdown() {}
@@ -682,12 +647,11 @@ DirectVolume::DirectVolume(std::string dir, DiskOptions options,
 DirectVolume::~DirectVolume() {
   // Centralized ring teardown FIRST (no I/O may be in flight at
   // destruction per the Volume contract): every ring the registry handed
-  // out — per-thread or shared — gets its fd closed and queues unmapped,
-  // even when the threads that own the thread-local slots are still
-  // alive. Their slots hold the IoRing objects (shared_ptr) but observe
-  // `down` and never touch the freed mappings.
+  // out gets its fd closed and queues unmapped, even when the threads that
+  // own the thread-local slots are still alive. Their slots hold the
+  // IoRing objects (shared_ptr) but observe `down` and never touch the
+  // freed mappings.
   if (registry_ != nullptr) registry_->Close();
-  shared_ring_.reset();
 #if STARFISH_HAVE_ODIRECT
   // Best-effort close-time checkpoint, mirroring the mmap backend: page
   // bytes already sit on the device (O_DIRECT), but block allocations and
@@ -769,38 +733,10 @@ Result<std::unique_ptr<DirectVolume>> DirectVolume::Open(
   auto volume = std::unique_ptr<DirectVolume>(
       new DirectVolume(dir, options, direct_options, mem_align));
   if (direct_options.use_io_uring) {
-    using RingMode = DirectVolumeOptions::RingMode;
-    const uint32_t depth = std::max(1u, direct_options.ring_depth);
-    if (direct_options.ring_mode == RingMode::kSqpoll) {
-      // SQPOLL needs privileges on older kernels; refusal downgrades to
-      // the default per-thread mode rather than to pread/pwrite.
-      volume->shared_ring_ =
-          IoRing::Create(depth, /*want_sqpoll=*/true,
-                         direct_options.sqpoll_idle_ms);
-      if (volume->shared_ring_ != nullptr) {
-        volume->effective_mode_ = RingMode::kSqpoll;
-      }
-    } else if (direct_options.ring_mode == RingMode::kShared) {
-      volume->shared_ring_ = IoRing::Create(depth, false, 0);
-      if (volume->shared_ring_ != nullptr) {
-        volume->effective_mode_ = RingMode::kShared;
-      }
-    }
-    if (volume->shared_ring_ != nullptr) {
-      volume->shared_ring_->want_buffers = direct_options.register_buffers;
-      volume->shared_ring_->want_files = direct_options.register_files;
-      std::lock_guard<std::mutex> lock(volume->registry_->mu);
-      volume->registry_->rings.push_back(volume->shared_ring_);
-      volume->ring_available_.store(true, std::memory_order_relaxed);
-    } else {
-      // Per-thread mode (requested, or the shared-ring setup refused):
-      // rings are created lazily per submitting thread; probe once here so
-      // io_uring_active() reflects reality from the start.
-      volume->effective_mode_ = RingMode::kPerThread;
-      auto probe = IoRing::Create(depth, false, 0);
-      volume->ring_available_.store(probe != nullptr,
-                                    std::memory_order_relaxed);
-    }
+    // Rings are created lazily per submitting thread; probe once here so
+    // io_uring_active() reflects reality from the start.
+    auto probe = IoRing::Create(direct_options.ring_depth);
+    volume->ring_available_.store(probe != nullptr, std::memory_order_relaxed);
   }
 
   if (!replay.found) {
@@ -949,23 +885,14 @@ Status DirectVolume::ExecuteSync(const IoOp& op, bool write, uint32_t done) {
 #endif
 }
 
-DirectVolume::IoRing* DirectVolume::AcquireRing(bool* lock) {
-  *lock = false;
+DirectVolume::IoRing* DirectVolume::AcquireRing() {
 #if !STARFISH_HAVE_IO_URING
   return nullptr;
 #else
   if (!ring_available_.load(std::memory_order_relaxed)) return nullptr;
-  if (shared_ring_ != nullptr) {
-    if (shared_ring_->broken.load(std::memory_order_relaxed) ||
-        shared_ring_->down.load(std::memory_order_relaxed)) {
-      return nullptr;
-    }
-    *lock = true;
-    return shared_ring_.get();
-  }
-  // Per-thread mode: one lazily created ring per (thread, volume). The
-  // slot caches failure too (null ring), so a thread that cannot get a
-  // ring probes once and then stays on pread/pwrite.
+  // One lazily created ring per (thread, volume). The slot caches failure
+  // too (null ring), so a thread that cannot get a ring probes once and
+  // then stays on pread/pwrite.
   struct Slot {
     uint64_t serial = 0;
     std::shared_ptr<IoRing> ring;
@@ -1021,13 +948,8 @@ DirectVolume::IoRing* DirectVolume::AcquireRing(bool* lock) {
           ++it;
         }
       }
-      ring = IoRing::Create(std::max(1u, direct_options_.ring_depth), false,
-                            0);
-      if (ring != nullptr) {
-        ring->want_buffers = direct_options_.register_buffers;
-        ring->want_files = direct_options_.register_files;
-        registry_->rings.push_back(ring);
-      }
+      ring = IoRing::Create(direct_options_.ring_depth);
+      if (ring != nullptr) registry_->rings.push_back(ring);
     }
   }
   slots.push_back(Slot{serial_, ring});
@@ -1037,11 +959,8 @@ DirectVolume::IoRing* DirectVolume::AcquireRing(bool* lock) {
 
 Status DirectVolume::Execute(const std::vector<IoOp>& ops, bool write) {
 #if STARFISH_HAVE_IO_URING
-  bool need_lock = false;
-  IoRing* ring = AcquireRing(&need_lock);
+  IoRing* ring = AcquireRing();
   if (ring != nullptr) {
-    std::unique_lock<std::mutex> lock(ring->mu, std::defer_lock);
-    if (need_lock) lock.lock();
     ring->MaybeSyncRegistrations(this);
     Result<uint64_t> ticket =
         ring->SubmitTicket(ops.data(), ops.size(), write, {});
@@ -1065,8 +984,7 @@ Result<uint64_t> DirectVolume::SubmitReadChained(
   if (ids.size() != outs.size()) {
     return Status::InvalidArgument("chained read: ids/outs size mismatch");
   }
-  bool need_lock = false;
-  IoRing* ring = AcquireRing(&need_lock);
+  IoRing* ring = AcquireRing();
   bool async_ok = ring != nullptr;
   if (async_ok) {
     for (char* out : outs) {
@@ -1093,8 +1011,6 @@ Result<uint64_t> DirectVolume::SubmitReadChained(
     ops.push_back(IoOp{fd, static_cast<uint32_t>(ids[i] / pages_per_extent_),
                        off, outs[i], page_size});
   }
-  std::unique_lock<std::mutex> lock(ring->mu, std::defer_lock);
-  if (need_lock) lock.lock();
   ring->MaybeSyncRegistrations(this);
   const size_t n = ops.size();
   Result<uint64_t> ticket =
@@ -1109,15 +1025,12 @@ Result<uint64_t> DirectVolume::SubmitReadChained(
 
 Status DirectVolume::CompleteRead(uint64_t ticket) {
   if (ticket == 0) return Status::OK();
-  bool need_lock = false;
-  IoRing* ring = AcquireRing(&need_lock);
+  IoRing* ring = AcquireRing();
   if (ring == nullptr) {
     return Status::Internal(
         "CompleteRead: calling thread has no usable ring (tickets are "
         "thread-local)");
   }
-  std::unique_lock<std::mutex> lock(ring->mu, std::defer_lock);
-  if (need_lock) lock.lock();
   return ring->WaitTicket(ticket);
 }
 
@@ -1145,29 +1058,17 @@ void DirectVolume::UnregisterIoMemory(const void* base) {
 }
 
 bool DirectVolume::registered_buffers_active() {
-  bool need_lock = false;
-  IoRing* ring = AcquireRing(&need_lock);
+  IoRing* ring = AcquireRing();
   if (ring == nullptr) return false;
-  std::unique_lock<std::mutex> lock(ring->mu, std::defer_lock);
-  if (need_lock) lock.lock();
   ring->MaybeSyncRegistrations(this);
   return ring->bufs_registered;
 }
 
 bool DirectVolume::registered_files_active() {
-  bool need_lock = false;
-  IoRing* ring = AcquireRing(&need_lock);
+  IoRing* ring = AcquireRing();
   if (ring == nullptr) return false;
-  std::unique_lock<std::mutex> lock(ring->mu, std::defer_lock);
-  if (need_lock) lock.lock();
   ring->MaybeSyncRegistrations(this);
   return ring->files_registered;
-}
-
-bool DirectVolume::sqpoll_active() const {
-  return shared_ring_ != nullptr && shared_ring_->sqpoll &&
-         !shared_ring_->down.load(std::memory_order_relaxed) &&
-         !shared_ring_->broken.load(std::memory_order_relaxed);
 }
 
 size_t DirectVolume::ring_count() const {
