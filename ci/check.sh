@@ -11,7 +11,9 @@
 # the paper benches against their committed golden stdout (the cache-off
 # byte-identity contract), smoke the four-workload end-to-end benchmark
 # (bench/e2e), then build with ThreadSanitizer and run the
-# buffer-pool, object-cache and concurrent-replay stress tests.
+# buffer-pool, object-cache and concurrent-replay stress tests, and
+# finally build with AddressSanitizer + UndefinedBehaviorSanitizer and run
+# the full test suite.
 #
 # Usage: ci/check.sh [build-dir]     (default: build)
 #
@@ -44,6 +46,10 @@
 # TSan stage: a second build dir (<build-dir>-tsan) compiled with
 # -fsanitize=thread runs the BufferMt stress suites. Skip with
 # STARFISH_SKIP_TSAN=1 on toolchains without libtsan.
+#
+# ASan+UBSan stage: a third build dir (<build-dir>-asan) runs the full
+# ctest with -fsanitize=address,undefined -fno-sanitize-recover=undefined.
+# Skip with STARFISH_SKIP_ASAN=1 on toolchains without libasan/libubsan.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -162,15 +168,16 @@ fi
 (cd "$BUILD_DIR" && ./bench_outofcore "${OOC_ARGS[@]}")
 
 echo "== object cache =="
-# The assembled-object cache tier: unit + store-level + crash-safety tests
-# and the read-path shape tests (one chained call per cold Get, cache on
+# The assembled-object cache tier: unit + store-level + crash-safety tests,
+# the object-image codec its entries are stored in, and the read-path
+# shape tests (one chained call per cold Get, cache on
 # and off) run loudly (they run in ctest too), then a tiny skewed-Get
 # sweep over all five models x both backends x enabled/disabled (emits
 # BENCH_objcache.json;
 # archived ungated — speedups are runner hardware, the full-size run's
 # hot-mix speedup is the acceptance number).
 "$BUILD_DIR/starfish_tests" \
-    --gtest_filter='*ObjCache*:*ObjectCache*:*ReadPathPrefetch*'
+    --gtest_filter='*ObjCache*:*ObjectCache*:*ObjectImage*:*ReadPathPrefetch*'
 (cd "$BUILD_DIR" && ./bench_objcache --tiny)
 
 echo "== workload: generated-scenario differential harness =="
@@ -283,6 +290,27 @@ else
   # byte-identical to the sequential replay.
   "$BUILD_DIR-tsan/starfish_tests" \
       --gtest_filter='*BufferMt*:*ShardedDeterminism*:*ObjCacheMt*:*DirectRingMt*:*ParallelApplyMt*:*WorkloadMt*'
+fi
+
+if [[ "${STARFISH_SKIP_ASAN:-0}" == "1" ]]; then
+  echo "== ASan+UBSan skipped (STARFISH_SKIP_ASAN=1) =="
+else
+  echo "== ASan+UBSan build =="
+  # A third build dir (<build-dir>-asan): the whole library and test suite
+  # under -fsanitize=address,undefined, with every UBSan report fatal.
+  # RelWithDebInfo keeps it fast and LTO-free; benches and examples are
+  # left out (the paper goldens already run above).
+  cmake -B "$BUILD_DIR-asan" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DSTARFISH_ASAN_UBSAN=ON -DSTARFISH_BUILD_BENCHES=OFF \
+        -DSTARFISH_BUILD_EXAMPLES=OFF
+  cmake --build "$BUILD_DIR-asan" --target starfish_tests -j "$(nproc)"
+
+  echo "== ASan+UBSan: full ctest =="
+  # Every test, including the object-image decoder's truncation, count-
+  # overflow and byte-flip cases and the read capture every object-cache
+  # miss runs.
+  UBSAN_OPTIONS=print_stacktrace=1 \
+      ctest --test-dir "$BUILD_DIR-asan" --output-on-failure -j "$(nproc)"
 fi
 
 echo "== OK =="

@@ -172,6 +172,12 @@ thread_local BufferManager::CaptureState* BufferManager::write_capture_ =
     nullptr;
 thread_local BufferManager::CaptureState BufferManager::write_capture_slot_;
 
+void BufferManager::BeginThreadReadCapture(std::vector<PageId>* sink) {
+  read_capture_ = sink;
+}
+
+void BufferManager::EndThreadReadCapture() { read_capture_ = nullptr; }
+
 Result<PageGuard> BufferManager::Fix(PageId id) {
   if (__builtin_expect(read_capture_ != nullptr, false)) {
     read_capture_->push_back(id);

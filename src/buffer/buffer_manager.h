@@ -314,10 +314,13 @@ class BufferManager {
   /// the cache entry. Thread-local by construction — concurrent readers
   /// each capture only their own fixes, with no shared state and no lock.
   /// `sink` must outlive the capture; captures do not nest.
-  static void BeginThreadReadCapture(std::vector<PageId>* sink) {
-    read_capture_ = sink;
-  }
-  static void EndThreadReadCapture() { read_capture_ = nullptr; }
+  /// Out of line on purpose: inlined into other translation units, the
+  /// extern thread_local is reached through the initial-exec TLS model,
+  /// and the linker's relaxation of that access defeats UBSan's null
+  /// check on it (a false "store to null pointer" report on every
+  /// capture). Defined next to read_capture_, the access is local.
+  static void BeginThreadReadCapture(std::vector<PageId>* sink);
+  static void EndThreadReadCapture();
 
   /// RAII bracket for the above (exception/early-return safe).
   class ThreadReadCaptureScope {

@@ -255,9 +255,10 @@ Result<std::unique_ptr<ComplexObjectStore>> ComplexObjectStore::Open(
                                             : std::vector<uint64_t>{});
   }
 
-  // Serializes logged op bodies AND transaction undo images — the mem
-  // backend needs it for the latter, so it exists on every path.
-  store->wal_serializer_ = std::make_unique<ObjectSerializer>(store->schema_);
+  // Serializes logged op bodies, transaction undo images and object cache
+  // images — the mem backend needs the latter two, so it exists on every
+  // path.
+  store->serializer_ = std::make_unique<ObjectSerializer>(store->schema_);
 
   // WAL attach + crash recovery (persistent backends; a no-op for mem).
   // After this the store's committed state is reconstructed, the log is
@@ -463,7 +464,7 @@ Status ComplexObjectStore::ApplyLogicalOp(WalRecordKind kind, ObjectRef ref,
         return Status::Corruption("undecodable logical op body");
       }
       STARFISH_ASSIGN_OR_RETURN(Tuple object,
-                                wal_serializer_->FromRegionsAll(regions));
+                                serializer_->FromRegionsAll(regions));
       return kind == WalRecordKind::kPut ? model_->Insert(ref, object)
                                          : model_->ReplaceObject(ref, object);
     }
@@ -683,7 +684,7 @@ Result<StoreTransaction::UndoRecord> ComplexObjectStore::CaptureUndo(
       STARFISH_ASSIGN_OR_RETURN(Tuple old_object,
                                 model_->ReadObjectForUndo(ref));
       STARFISH_ASSIGN_OR_RETURN(std::vector<RecordRegion> regions,
-                                wal_serializer_->ToRegions(old_object));
+                                serializer_->ToRegions(old_object));
       undo.kind = kind == WalRecordKind::kReplace ? WalRecordKind::kReplace
                                                   : WalRecordKind::kPut;
       undo.body = EncodeRegions(regions);
@@ -740,7 +741,7 @@ Status ComplexObjectStore::DoPut(ObjectRef ref, const Tuple& object,
   std::string body;
   if (wal_ != nullptr) {
     STARFISH_ASSIGN_OR_RETURN(std::vector<RecordRegion> regions,
-                              wal_serializer_->ToRegions(object));
+                              serializer_->ToRegions(object));
     body = EncodeRegions(regions);
   }
   return LoggedWrite(
@@ -784,8 +785,7 @@ Result<Tuple> ComplexObjectStore::CachedGet(ObjectRef ref,
                                             const Projection& projection) {
   uint64_t epoch = 0;
   if (ObjCacheEntryRef entry = objcache_->Lookup(ref, &epoch)) {
-    if (projection.IsAll()) return entry->object;
-    return ProjectAssembled(*schema_, entry->object, projection);
+    return serializer_->DecodeImage(entry->image, projection);
   }
   // A repeated probe for an object already known absent is answered from
   // the negative side table — no model read, no page fix. The verdict is
@@ -797,9 +797,10 @@ Result<Tuple> ComplexObjectStore::CachedGet(ObjectRef ref,
     return Status::NotFound("no object with ref " + std::to_string(ref));
   }
   // Miss: read-through. Assemble the FULL object (so one miss serves every
-  // later projection) under a read-page capture, then publish it guarded
-  // by the epoch sampled above — if any invalidation ran in between, the
-  // assembly may have observed a half-applied write and is discarded.
+  // later projection) under a read-page capture, then publish its image
+  // guarded by the epoch sampled above — if any invalidation ran in
+  // between, the assembly may have observed a half-applied write and is
+  // discarded.
   std::vector<PageId> pages;
   Result<Tuple> full_or = [&] {
     BufferManager::ThreadReadCaptureScope capture(&pages);
@@ -811,12 +812,12 @@ Result<Tuple> ComplexObjectStore::CachedGet(ObjectRef ref,
     if (full_or.status().IsNotFound()) objcache_->InsertNegative(ref, epoch);
     return full_or.status();
   }
-  Tuple full = std::move(full_or).value();
-  Tuple out = projection.IsAll()
-                  ? full
-                  : ProjectAssembled(*schema_, full, projection);
-  objcache_->Insert(ref, std::move(full), std::move(pages), epoch);
-  return out;
+  std::string image = serializer_->EncodeImage(full_or.value());
+  if (!projection.IsAll()) {
+    full_or = serializer_->DecodeImage(image, projection);
+  }
+  objcache_->Insert(ref, std::move(image), std::move(pages), epoch);
+  return full_or;
 }
 
 Result<Tuple> ComplexObjectStore::GetByKey(int64_t key,
@@ -836,7 +837,7 @@ Result<std::vector<ObjectRef>> ComplexObjectStore::Children(ObjectRef ref) {
   // inflate exactly the I/O the paper's query 2 avoids).
   if (objcache_ != nullptr) {
     if (ObjCacheEntryRef entry = objcache_->Lookup(ref)) {
-      return CollectAssembledLinks(*schema_, entry->object);
+      return serializer_->ImageLinks(entry->image);
     }
   }
   return model_->GetChildRefs(ref);
@@ -846,8 +847,7 @@ Result<Tuple> ComplexObjectStore::RootRecord(ObjectRef ref) {
   // Same policy as Children: serve hits, never populate on a miss.
   if (objcache_ != nullptr) {
     if (ObjCacheEntryRef entry = objcache_->Lookup(ref)) {
-      return ProjectAssembled(*schema_, entry->object,
-                              Projection::RootOnly(*schema_));
+      return serializer_->DecodeImageRoot(entry->image);
     }
   }
   return model_->GetRootRecord(ref);
@@ -876,7 +876,7 @@ Status ComplexObjectStore::DoReplace(ObjectRef ref, const Tuple& new_object,
   std::string body;
   if (wal_ != nullptr) {
     STARFISH_ASSIGN_OR_RETURN(std::vector<RecordRegion> regions,
-                              wal_serializer_->ToRegions(new_object));
+                              serializer_->ToRegions(new_object));
     body = EncodeRegions(regions);
   }
   return LoggedWrite(

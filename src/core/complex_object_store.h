@@ -146,12 +146,13 @@ struct StoreOptions {
 
   /// The assembled-object cache tier above the buffer pool (off by
   /// default; docs/OBJCACHE.md). When enabled, by-ref reads (Get /
-  /// Children / RootRecord) serve hot objects from finished assemblies
-  /// instead of re-decoding pages, every write op invalidates before it is
-  /// acknowledged, and the cache starts empty on every Open — so crash
-  /// recovery can never serve a pre-crash assembly. `enabled = false`
-  /// leaves every code path and every counter exactly as before (the paper
-  /// benches measure per-access physical I/O and stay byte-identical).
+  /// Children / RootRecord) serve hot objects from each one's cached image
+  /// instead of re-assembling it from pages, every write op invalidates
+  /// before it is acknowledged, and the cache starts empty on every Open —
+  /// so crash recovery can never serve a pre-crash assembly.
+  /// `enabled = false` leaves every code path and every counter exactly as
+  /// before (the paper benches measure per-access physical I/O and stay
+  /// byte-identical).
   /// Ignored for plain NSM, which has no by-ref access to accelerate.
   ObjCacheOptions objcache;
 };
@@ -493,9 +494,9 @@ class ComplexObjectStore {
   /// keeps its one-call-per-relation pattern.
   Result<Tuple> ReadObject(ObjectRef ref, const Projection& projection);
 
-  /// Get through the object cache (objcache_ != nullptr): serve hits from
-  /// the assembled entry, assemble misses under a read-page capture and
-  /// publish them epoch-guarded.
+  /// Get through the object cache (objcache_ != nullptr): serve hits by
+  /// decoding the entry's image, assemble misses under a read-page capture
+  /// and publish their images epoch-guarded.
   Result<Tuple> CachedGet(ObjectRef ref, const Projection& projection);
 
   /// Write-path invalidation: drops every cached assembly a just-applied
@@ -534,8 +535,9 @@ class ComplexObjectStore {
   /// writers holding only their per-segment latches.
   std::atomic<bool> dirty_{false};
 
-  /// Serializes logged op bodies (Put/Replace region streams).
-  std::unique_ptr<ObjectSerializer> wal_serializer_;
+  /// Serializes logged op bodies (Put/Replace region streams), undo
+  /// images, and the object cache's entry images.
+  std::unique_ptr<ObjectSerializer> serializer_;
   /// Volume page count at the committed checkpoint: pages below it need a
   /// first-touch pre-image (mirrors WalManager::SetCheckpointPageCount).
   uint64_t wal_checkpoint_page_count_ = 0;

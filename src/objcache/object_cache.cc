@@ -1,17 +1,13 @@
 #include "objcache/object_cache.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <mutex>
 #include <thread>
 
 namespace starfish {
 
 namespace {
-
-/// Fixed per-entry bookkeeping charge: map node, LRU node, page-index
-/// slots. A round constant — the charge only needs to keep thousands of
-/// tiny entries from looking free.
-constexpr size_t kEntryOverhead = 96;
 
 uint32_t PickShardCount(uint32_t requested) {
   uint32_t n = requested;
@@ -68,12 +64,61 @@ struct ObjectCache::Shard {
   /// any of them is dirtied by a write.
   std::unordered_map<PageId, std::vector<ObjectRef>> page_index;
 
+  // ---- capacity charge -------------------------------------------------
+  // An entry is charged the bytes of every structure it owns or adds to
+  // the shard, at their sizeof (64-bit libstdc++ sizes in the comments):
+  //   * the make_shared block: control header (vtable pointer + two 32-bit
+  //     counts = 16 B) + ObjCacheEntry (string 32 + vector 24 + size_t 8
+  //     = 64 B) = 80 B;
+  //   * the image's heap buffer once it outgrows the string's inline (SSO)
+  //     capacity: capacity + NUL (Insert trims capacity to size);
+  //   * the page list's buffer: sizeof(PageId) per page (trimmed too);
+  //   * the map node: next pointer + key + Slot (shared_ptr 16 + LRU
+  //     iterator 8) = 40 B, plus its bucket pointer (max load factor 1);
+  //   * the LRU node: 2 links + key = 24 B;
+  //   * one ObjectRef per page in the page index's per-page vectors.
+  // A typical hot object (173 B image, 3 pages) is charged 80 + 174 + 12
+  // + 48 + 24 + 24 = 362 B. A page-index node (next pointer + PageId +
+  // vector = 40 B, plus its bucket pointer) is shared by every entry on
+  // that page, so the shard is charged kPageNodeCharge for as long as the
+  // node exists rather than any one entry. Not charged: allocator headers
+  // and size-class rounding, and container growth slack (vector capacity
+  // beyond size, spare buckets) — properties of the allocator and growth
+  // policy, not of the entry. With glibc's 8 B headers and 16 B size
+  // classes, and that slack, the typical entry below takes about 464 B.
+  static size_t EntryCharge(const ObjCacheEntry& entry) {
+    static const size_t kInlineCapacity = std::string().capacity();
+    constexpr size_t kControlHeader = sizeof(void*) + 2 * sizeof(int32_t);
+    constexpr size_t kMapNode =
+        sizeof(void*) + sizeof(ObjectRef) + sizeof(Slot) + sizeof(void*);
+    constexpr size_t kLruNode = 2 * sizeof(void*) + sizeof(ObjectRef);
+    const size_t image_heap = entry.image.capacity() > kInlineCapacity
+                                  ? entry.image.capacity() + 1
+                                  : 0;
+    return kControlHeader + sizeof(ObjCacheEntry) + image_heap +
+           entry.pages.capacity() * sizeof(PageId) + kMapNode + kLruNode +
+           entry.pages.size() * sizeof(ObjectRef);
+  }
+  static constexpr size_t kPageNodeCharge =
+      sizeof(void*) + sizeof(std::pair<const PageId, std::vector<ObjectRef>>) +
+      sizeof(void*);
+
   /// Invalidation epoch: bumped by every invalidation that could concern
   /// this shard. Lookup misses sample it; Insert refuses when it moved.
   uint64_t epoch = 0;
 
-  /// Resident bytes charged against this shard's capacity slice.
+  /// Resident bytes charged against this shard's capacity slice: every
+  /// entry's EntryCharge plus kPageNodeCharge per page-index node.
   size_t bytes = 0;
+
+  void Charge(size_t n, AtomicObjCacheStats* stats) {
+    bytes += n;
+    stats->bytes.fetch_add(n, std::memory_order_relaxed);
+  }
+  void Release(size_t n, AtomicObjCacheStats* stats) {
+    bytes -= n;
+    stats->bytes.fetch_sub(n, std::memory_order_relaxed);
+  }
 
   /// Negative side table: refs whose last model probe came back NotFound,
   /// stamped with the epoch at probe time. An entry is only believed while
@@ -128,28 +173,35 @@ bool ObjectCache::EraseLocked(Shard& shard, ObjectRef ref) {
     if (page_it == shard.page_index.end()) continue;
     std::vector<ObjectRef>& refs = page_it->second;
     refs.erase(std::remove(refs.begin(), refs.end(), ref), refs.end());
-    if (refs.empty()) shard.page_index.erase(page_it);
+    if (refs.empty()) {
+      shard.page_index.erase(page_it);
+      shard.Release(Shard::kPageNodeCharge, &stats_);
+    }
   }
-  shard.bytes -= entry->bytes;
-  stats_.bytes.fetch_sub(entry->bytes, std::memory_order_relaxed);
+  shard.Release(entry->bytes, &stats_);
   stats_.entries.fetch_sub(1, std::memory_order_relaxed);
   shard.lru.erase(it->second.lru_it);
   shard.map.erase(it);
   return true;
 }
 
-void ObjectCache::Insert(ObjectRef ref, Tuple object, std::vector<PageId> pages,
-                         uint64_t epoch) {
+void ObjectCache::Insert(ObjectRef ref, std::string image,
+                         std::vector<PageId> pages, uint64_t epoch) {
   // Dedup the page list once, outside the lock (Fix capture records every
-  // fix, and an assembly fixes header pages repeatedly).
+  // fix, and an assembly fixes header pages repeatedly). Both buffers are
+  // trimmed to size: the charge is what they hold.
   std::sort(pages.begin(), pages.end());
   pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  pages.shrink_to_fit();
+  image.shrink_to_fit();
 
   auto entry = std::make_shared<ObjCacheEntry>();
-  entry->bytes = sizeof(ObjCacheEntry) + DeepSizeOf(object) +
-                 pages.size() * sizeof(PageId) + kEntryOverhead;
-  entry->object = std::move(object);
+  entry->image = std::move(image);
   entry->pages = std::move(pages);
+  entry->bytes = Shard::EntryCharge(*entry);
+  // Room for the entry and, at worst, a new page-index node per page.
+  const size_t need =
+      entry->bytes + entry->pages.size() * Shard::kPageNodeCharge;
 
   Shard& shard = ShardOf(ref);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -160,18 +212,19 @@ void ObjectCache::Insert(ObjectRef ref, Tuple object, std::vector<PageId> pages,
     return;
   }
   EraseLocked(shard, ref);
-  if (entry->bytes > shard_capacity_) return;  // would evict everything
-  while (shard.bytes + entry->bytes > shard_capacity_ && !shard.lru.empty()) {
+  if (need > shard_capacity_) return;  // would evict everything
+  while (shard.bytes + need > shard_capacity_ && !shard.lru.empty()) {
     const ObjectRef victim = shard.lru.front();
     EraseLocked(shard, victim);
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   }
   auto lru_it = shard.lru.insert(shard.lru.end(), ref);
   for (PageId page : entry->pages) {
-    shard.page_index[page].push_back(ref);
+    auto [it, fresh] = shard.page_index.try_emplace(page);
+    if (fresh) shard.Charge(Shard::kPageNodeCharge, &stats_);
+    it->second.push_back(ref);
   }
-  shard.bytes += entry->bytes;
-  stats_.bytes.fetch_add(entry->bytes, std::memory_order_relaxed);
+  shard.Charge(entry->bytes, &stats_);
   stats_.entries.fetch_add(1, std::memory_order_relaxed);
   stats_.inserts.fetch_add(1, std::memory_order_relaxed);
   shard.map.emplace(ref, Shard::Slot{std::move(entry), lru_it});
@@ -290,93 +343,6 @@ void ObjectCache::Clear() {
 
 size_t ObjectCache::TotalBytes() const {
   return stats_.bytes.load(std::memory_order_relaxed);
-}
-
-namespace {
-
-size_t DeepExtraOf(const Tuple& tuple);
-
-size_t DeepExtraOf(const Value& value) {
-  if (value.is_string()) {
-    const std::string& s = value.as_string();
-    // SSO strings own no heap; charge only spilled capacity.
-    return s.capacity() > sizeof(std::string) ? s.capacity() : 0;
-  }
-  if (value.is_relation()) {
-    const std::vector<Tuple>& rel = value.as_relation();
-    size_t n = rel.capacity() * sizeof(Tuple);
-    for (const Tuple& sub : rel) n += DeepExtraOf(sub);
-    return n;
-  }
-  return 0;
-}
-
-size_t DeepExtraOf(const Tuple& tuple) {
-  size_t n = tuple.values.capacity() * sizeof(Value);
-  for (const Value& v : tuple.values) n += DeepExtraOf(v);
-  return n;
-}
-
-void ProjectRec(const Schema& root, const Schema& schema, PathId path,
-                const Tuple& in, const Projection& projection, Tuple* out) {
-  const std::vector<Attribute>& attrs = schema.attributes();
-  out->values.reserve(in.values.size());
-  for (size_t i = 0; i < attrs.size() && i < in.values.size(); ++i) {
-    if (attrs[i].type != AttrType::kRelation) {
-      out->values.push_back(in.values[i]);
-      continue;
-    }
-    // Unselected relation attributes come back EMPTY — the serializer's
-    // partial-read contract (nf2/serializer.h).
-    auto child_or = root.ChildPath(path, i);
-    if (!child_or.ok() || !projection.Includes(child_or.value())) {
-      out->values.push_back(Value::Relation({}));
-      continue;
-    }
-    const PathId child = child_or.value();
-    const std::vector<Tuple>& in_rel = in.values[i].as_relation();
-    std::vector<Tuple> out_rel(in_rel.size());
-    for (size_t t = 0; t < in_rel.size(); ++t) {
-      ProjectRec(root, *attrs[i].relation, child, in_rel[t], projection,
-                 &out_rel[t]);
-    }
-    out->values.push_back(Value::Relation(std::move(out_rel)));
-  }
-}
-
-void CollectLinksRec(const Schema& schema, const Tuple& tuple,
-                     std::vector<ObjectRef>* out) {
-  const std::vector<Attribute>& attrs = schema.attributes();
-  for (size_t i = 0; i < attrs.size() && i < tuple.values.size(); ++i) {
-    if (attrs[i].type == AttrType::kLink) {
-      out->push_back(tuple.values[i].as_link());
-    } else if (attrs[i].type == AttrType::kRelation) {
-      for (const Tuple& sub : tuple.values[i].as_relation()) {
-        CollectLinksRec(*attrs[i].relation, sub, out);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-size_t DeepSizeOf(const Tuple& tuple) {
-  return sizeof(Tuple) + DeepExtraOf(tuple);
-}
-
-Tuple ProjectAssembled(const Schema& root, const Tuple& full,
-                       const Projection& projection) {
-  if (projection.IsAll()) return full;
-  Tuple out;
-  ProjectRec(root, root, kRootPath, full, projection, &out);
-  return out;
-}
-
-std::vector<ObjectRef> CollectAssembledLinks(const Schema& root,
-                                             const Tuple& full) {
-  std::vector<ObjectRef> out;
-  CollectLinksRec(root, full, &out);
-  return out;
 }
 
 }  // namespace starfish

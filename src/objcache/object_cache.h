@@ -9,31 +9,31 @@
 #include <vector>
 
 #include "disk/page.h"
-#include "nf2/projection.h"
-#include "nf2/schema.h"
-#include "nf2/value.h"
 
 /// \file object_cache.h
 /// The assembled-object cache tier above the page-level buffer pool.
 ///
 /// Every Get against a complex-object store pays two costs: the physical
 /// page I/Os the paper measures, and the *transformation* cost of
-/// re-assembling an NF² tuple out of its page-resident regions (region
-/// reads, flat-format decoding, per-attribute heap allocation). The buffer
-/// pool removes the first cost for hot pages; this cache removes the second
-/// for hot *objects* — a hit hands back the finished Tuple without touching
-/// a single page. The ROADMAP names this second-layer cache the biggest
-/// single lever for serve-heavy traffic, and it is the object-granular
-/// counterpart of the paper's page-granular Fig. 6 buffer study.
+/// re-assembling an NF² tuple out of its page-resident regions (record
+/// reads across pages, per-relation lookups, region framing). The buffer
+/// pool removes the first cost for hot pages; this cache removes most of
+/// the second for hot *objects* — a hit decodes one contiguous image
+/// without touching a single page. The ROADMAP names this second-layer
+/// cache the biggest single lever for serve-heavy traffic, and it is the
+/// object-granular counterpart of the paper's page-granular Fig. 6 buffer
+/// study.
 ///
 /// Shape: a sharded, size-capped LRU map from ObjectRef to an immutable
-/// cache entry holding the fully assembled object (Projection::All) plus
-/// the set of buffer pages that backed the assembly. Entries are handed
-/// out as shared_ptr<const Entry> — the object-level analog of a PageGuard
-/// pin: an invalidation drops the cache's reference immediately, while a
-/// reader that already holds the entry keeps a consistent (pre-write)
-/// assembly alive until it lets go. Nothing is ever mutated in place, so a
-/// reader can never observe a half-invalidated entry.
+/// cache entry holding the object's image — its DASDBS flat images in DFS
+/// order, one string (nf2/serializer.h defines the format and decodes it;
+/// this layer never looks inside) — plus the set of buffer pages that
+/// backed the assembly. Entries are handed out as
+/// shared_ptr<const Entry> — the object-level analog of a PageGuard pin:
+/// an invalidation drops the cache's reference immediately, while a reader
+/// that already holds the entry keeps a consistent (pre-write) image alive
+/// until it lets go. Nothing is ever mutated in place, so a reader can
+/// never observe a half-invalidated entry.
 ///
 /// Invalidation protocol (see docs/OBJCACHE.md):
 ///   * Write path — the store calls InvalidatePages(dirtied) +
@@ -67,9 +67,9 @@ struct ObjCacheOptions {
   /// I/O of *every* access, and a disabled cache keeps them byte-identical.
   bool enabled = false;
 
-  /// Total budget for cached assemblies (deep tuple bytes + bookkeeping),
-  /// split evenly across shards. Entries larger than one shard's slice are
-  /// simply not cached.
+  /// Total budget for cached entries (image, page list and the cache's own
+  /// bookkeeping; see object_cache.cc), split evenly across shards. Entries
+  /// larger than one shard's slice are simply not cached.
   size_t capacity_bytes = 64ull << 20;
 
   /// Number of independent shards. 0 (default) derives a power of two from
@@ -175,9 +175,9 @@ struct AtomicObjCacheStats {
 /// One cached assembly. Immutable after construction; shared between the
 /// cache and any readers still holding it (the pin).
 struct ObjCacheEntry {
-  Tuple object;               ///< the full assembly (Projection::All)
+  std::string image;          ///< the full object's image (all paths)
   std::vector<PageId> pages;  ///< buffer pages observed while assembling
-  size_t bytes = 0;           ///< capacity charge (deep size + bookkeeping)
+  size_t bytes = 0;           ///< capacity charge (see object_cache.cc)
 };
 
 /// A pinned reference to a cached assembly. Holding it keeps the (already
@@ -198,12 +198,13 @@ class ObjectCache {
   /// an assembly that overlapped an invalidation is discarded.
   ObjCacheEntryRef Lookup(ObjectRef ref, uint64_t* epoch_out = nullptr);
 
-  /// Publishes an assembly produced after a Lookup miss returned `epoch`.
-  /// Discarded (counted as a stale drop) when the shard's epoch has moved
-  /// since — the write that moved it may have made this assembly stale.
-  /// Replaces an existing entry for `ref`; evicts LRU entries to fit;
-  /// silently skips objects larger than one shard's capacity slice.
-  void Insert(ObjectRef ref, Tuple object, std::vector<PageId> pages,
+  /// Publishes the image of an assembly produced after a Lookup miss
+  /// returned `epoch`. Discarded (counted as a stale drop) when the shard's
+  /// epoch has moved since — the write that moved it may have made this
+  /// assembly stale. Replaces an existing entry for `ref`; evicts LRU
+  /// entries to fit; silently skips objects larger than one shard's
+  /// capacity slice.
+  void Insert(ObjectRef ref, std::string image, std::vector<PageId> pages,
               uint64_t epoch);
 
   /// True when `ref` is recorded as NOT existing and that knowledge is
@@ -264,23 +265,5 @@ class ObjectCache {
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable AtomicObjCacheStats stats_;
 };
-
-/// Approximate deep heap footprint of an assembled tuple (the capacity
-/// charge of a cache entry). Counts vector/string capacities recursively —
-/// an estimate of what the allocator holds, not an exact malloc audit.
-size_t DeepSizeOf(const Tuple& tuple);
-
-/// Projects a cached full assembly down to `projection` in memory, with
-/// exactly the serializer's partial-read contract: unselected relation
-/// attributes come back as EMPTY relations (nesting structure intact for
-/// everything selected). `full` must conform to `root`.
-Tuple ProjectAssembled(const Schema& root, const Tuple& full,
-                       const Projection& projection);
-
-/// Link values of a full assembly in document order — the cached-entry
-/// equivalent of StorageModel::GetChildRefs (same traversal order as the
-/// models' CollectLinks).
-std::vector<ObjectRef> CollectAssembledLinks(const Schema& root,
-                                             const Tuple& full);
 
 }  // namespace starfish

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "../support/env_seed.h"
+#include "../support/random_schema.h"
 #include "benchmark/generator.h"
 #include "benchmark/station_schema.h"
+#include "util/coding.h"
+#include "util/random.h"
 
 namespace starfish {
 namespace {
@@ -208,6 +214,175 @@ TEST_F(SerializerTest, RandomizedRoundTripsOverGeneratedObjects) {
     auto back = serializer.FromRegionsAll(regions.value());
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.value(), object.tuple);
+  }
+}
+
+// ------------------------------------------------------------ object image --
+
+/// The image format's definition: ToRegions' region bytes end to end.
+std::string ConcatRegions(const std::vector<RecordRegion>& regions) {
+  std::string out;
+  for (const RecordRegion& region : regions) out += region.bytes;
+  return out;
+}
+
+TEST_F(SerializerTest, ImageIsTheRegionStreamUnframed) {
+  const Tuple station = MakeStation(3, 2, 2, 1);
+  auto regions = serializer_.ToRegions(station);
+  ASSERT_TRUE(regions.ok());
+  const std::string image = serializer_.EncodeImage(station);
+  EXPECT_EQ(image, ConcatRegions(regions.value()));
+  EXPECT_EQ(image.capacity(), std::max(image.size(), std::string().capacity()))
+      << "image not sized exactly";
+}
+
+TEST(ObjectImageTest, DecodeMatchesProjectedRegionsOverRandomSchemas) {
+  const uint64_t base = test::TestSeed(2024);
+  for (uint64_t seed = base; seed < base + (test::SeedPinned() ? 1 : 40);
+       ++seed) {
+    SCOPED_TRACE("STARFISH_SEED=" + std::to_string(seed));
+    Rng rng(seed);
+    auto schema = test::RandomSchema(&rng, 0, 1 + static_cast<int>(seed % 3),
+                                     "T");
+    ObjectSerializer serializer(schema);
+    for (int i = 0; i < 8; ++i) {
+      const Tuple object =
+          test::RandomTuple(&rng, *schema, i, 50, /*is_root=*/true);
+      auto regions = serializer.ToRegions(object);
+      ASSERT_TRUE(regions.ok()) << regions.status().ToString();
+      const std::string image = serializer.EncodeImage(object);
+      ASSERT_EQ(image, ConcatRegions(regions.value()));
+
+      auto all = serializer.DecodeImage(image, Projection::All(*schema));
+      ASSERT_TRUE(all.ok()) << all.status().ToString();
+      EXPECT_EQ(all.value(), object);
+
+      for (int p = 0; p < 4; ++p) {
+        const Projection proj = test::RandomProjection(&rng, *schema);
+        std::vector<RecordRegion> kept;
+        for (const RecordRegion& region : regions.value()) {
+          if (proj.Includes(ObjectSerializer::TagPath(region.tag))) {
+            kept.push_back(region);
+          }
+        }
+        auto expected = serializer.FromRegions(kept, proj);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        auto got = serializer.DecodeImage(image, proj);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got.value(), expected.value()) << proj.ToString();
+      }
+
+      auto root = serializer.DecodeImageRoot(image);
+      auto root_expected = serializer.FromRegions(
+          {regions.value()[0]}, Projection::RootOnly(*schema));
+      ASSERT_TRUE(root.ok());
+      ASSERT_TRUE(root_expected.ok());
+      EXPECT_EQ(root.value(), root_expected.value());
+
+      std::vector<uint64_t> links;
+      test::Links(*schema, object, &links);
+      auto walked = serializer.ImageLinks(image);
+      ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+      EXPECT_EQ(walked.value(), links);
+    }
+  }
+}
+
+TEST(ObjectImageTest, LinkWalkKeepsAttributeOrderWhenARelationPrecedesALink) {
+  // Root(Key, Subs{(Inner, Deep{(Far)})}, Near): in the image Near's bytes
+  // come before every sub-tuple's, but in attribute order the sub-tuples'
+  // links come first.
+  auto deep = SchemaBuilder("Deep").AddLink("Far").Build();
+  auto sub = SchemaBuilder("Sub")
+                 .AddRelation("Deep", deep)
+                 .AddLink("Inner")
+                 .Build();
+  auto root = SchemaBuilder("Root")
+                  .AddInt32("Key")
+                  .AddRelation("Subs", sub)
+                  .AddLink("Near")
+                  .Build();
+  auto deep_tuple = [](uint64_t far) {
+    return Tuple({Value::Link(far)});
+  };
+  const Tuple object({Value::Int32(1),
+                      Value::Relation(
+                          {Tuple({Value::Relation({deep_tuple(10),
+                                                   deep_tuple(11)}),
+                                  Value::Link(12)}),
+                           Tuple({Value::Relation({deep_tuple(20)}),
+                                  Value::Link(21)})}),
+                      Value::Link(99)});
+  ObjectSerializer serializer(root);
+  std::vector<uint64_t> expected;
+  test::Links(*root, object, &expected);
+  ASSERT_EQ(expected, (std::vector<uint64_t>{10, 11, 12, 20, 21, 99}));
+  auto walked = serializer.ImageLinks(serializer.EncodeImage(object));
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(walked.value(), expected);
+}
+
+TEST_F(SerializerTest, ImageRejectsTruncationAtEveryLength) {
+  const Tuple station = MakeStation(4, 2, 2, 2);
+  const std::string image = serializer_.EncodeImage(station);
+  const Projection all = Projection::All(*schema_);
+  for (size_t n = 0; n < image.size(); ++n) {
+    const std::string_view cut(image.data(), n);
+    EXPECT_TRUE(serializer_.DecodeImage(cut, all).status().IsCorruption())
+        << "length " << n;
+    EXPECT_TRUE(serializer_.ImageLinks(cut).status().IsCorruption())
+        << "length " << n;
+  }
+}
+
+TEST_F(SerializerTest, ImageRejectsTrailingBytes) {
+  const std::string image =
+      serializer_.EncodeImage(MakeStation(4, 1, 1, 1)) + "x";
+  EXPECT_TRUE(serializer_.DecodeImage(image, Projection::All(*schema_))
+                  .status().IsCorruption());
+  EXPECT_TRUE(serializer_.DecodeImage(image, Projection::RootOnly(*schema_))
+                  .status().IsCorruption());
+  EXPECT_TRUE(serializer_.ImageLinks(image).status().IsCorruption());
+}
+
+TEST_F(SerializerTest, ImageRejectsCountOverflow) {
+  // The root's Platform count claims 65535 sub-tuples; the bytes left
+  // cannot hold them. Decoding must refuse before sizing anything by it.
+  const Tuple station = MakeStation(4, 1, 1, 0);
+  std::string image = serializer_.EncodeImage(station);
+  const size_t platform_count_at =
+      ObjectSerializer::FlatSize(*schema_, station) - 4;  // two u16 counts
+  ASSERT_EQ(DecodeFixed16(image.data() + platform_count_at), 1u);
+  EncodeFixed16(&image[platform_count_at], 0xFFFF);
+  for (const Projection& proj :
+       {Projection::All(*schema_), Projection::RootOnly(*schema_)}) {
+    auto got = serializer_.DecodeImage(image, proj);
+    EXPECT_TRUE(got.status().IsCorruption()) << proj.ToString();
+  }
+  EXPECT_TRUE(serializer_.ImageLinks(image).status().IsCorruption());
+}
+
+TEST(ObjectImageTest, RandomByteFlipsNeverEscapeAStatus) {
+  // Mutated images either decode to some object or return Corruption;
+  // the ASan+UBSan build turns any out-of-bounds read here into a failure.
+  const uint64_t seed = test::TestSeed(77);
+  SCOPED_TRACE("STARFISH_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  auto schema = test::RandomSchema(&rng, 0, 3, "T");
+  ObjectSerializer serializer(schema);
+  const Projection all = Projection::All(*schema);
+  for (int i = 0; i < 200; ++i) {
+    std::string image = serializer.EncodeImage(
+        test::RandomTuple(&rng, *schema, i, 10, /*is_root=*/true));
+    if (image.empty()) continue;
+    for (int f = 0; f < 4; ++f) {
+      image[rng.Uniform(image.size())] = static_cast<char>(rng.Uniform(256));
+    }
+    auto got = serializer.DecodeImage(image, all);
+    if (!got.ok()) EXPECT_TRUE(got.status().IsCorruption());
+    auto links = serializer.ImageLinks(image);
+    if (!links.ok()) EXPECT_TRUE(links.status().IsCorruption());
+    EXPECT_EQ(got.ok(), links.ok()) << "decode and link walk disagree";
   }
 }
 

@@ -24,6 +24,7 @@
 
 #include "benchmark/generator.h"
 #include "core/complex_object_store.h"
+#include "nf2/serializer.h"
 #include "objcache/object_cache.h"
 #include "util/random.h"
 
@@ -32,8 +33,10 @@ namespace {
 
 constexpr uint32_t kReaderThreads = 4;
 
-Tuple ValueTuple(int32_t v) {
-  return Tuple({Value::Int32(v), Value::Str("v-" + std::to_string(v))});
+/// The raw cache is format-agnostic: a string naming the ref stands in
+/// for its image.
+std::string ValueImage(ObjectRef ref) {
+  return "image-of-ref-" + std::to_string(ref);
 }
 
 // Raw cache: lookups, epoch-guarded inserts, both invalidation flavors and
@@ -67,11 +70,10 @@ TEST(ObjCacheMtTest, RawCacheSurvivesFullApiHammering) {
             uint64_t epoch = 0;
             if (ObjCacheEntryRef entry = cache.Lookup(ref, &epoch)) {
               // Entries are immutable: the payload always matches the key.
-              ASSERT_EQ(entry->object.values[0].as_int32(),
-                        static_cast<int32_t>(ref));
+              ASSERT_EQ(entry->image, ValueImage(ref));
             } else {
-              cache.Insert(ref, ValueTuple(static_cast<int32_t>(ref)),
-                           {static_cast<PageId>(ref)}, epoch);
+              cache.Insert(ref, ValueImage(ref), {static_cast<PageId>(ref)},
+                           epoch);
             }
             break;
           }
@@ -197,13 +199,18 @@ TEST_P(ObjCacheMtStoreTest, ReadersRaceInvalidation) {
 // entry the cache hands out must be one of the two legitimate versions;
 // anything else means a torn assembly was published.
 TEST_P(ObjCacheMtStoreTest, CacheLookupsRaceRealWriter) {
-  // Two full-object versions per ref, distinguishable at values[1].
+  // Two full-object versions per ref, distinguishable at values[1], and
+  // the image each one is cached as.
+  const ObjectSerializer serializer(db_->schema());
   std::vector<Tuple> v1, v2;
+  std::vector<std::string> v1_image, v2_image;
   for (const auto& object : db_->objects()) {
     v1.push_back(object.tuple);
     Tuple alt = object.tuple;
     alt.values[1] = Value::Int32(-1000000 - static_cast<int32_t>(object.ref));
     v2.push_back(alt);
+    v1_image.push_back(serializer.EncodeImage(v1.back()));
+    v2_image.push_back(serializer.EncodeImage(v2.back()));
   }
   // Warm the cache with v1 assemblies.
   for (const auto& object : db_->objects()) {
@@ -221,8 +228,8 @@ TEST_P(ObjCacheMtStoreTest, CacheLookupsRaceRealWriter) {
         const size_t n = rng.Uniform(db_->objects().size());
         ObjCacheEntryRef entry = cache->Lookup(db_->objects()[n].ref);
         if (entry == nullptr) continue;
-        const bool is_v1 = entry->object == v1[n];
-        const bool is_v2 = entry->object == v2[n];
+        const bool is_v1 = entry->image == v1_image[n];
+        const bool is_v2 = entry->image == v2_image[n];
         ASSERT_TRUE(is_v1 || is_v2)
             << "cache served a tuple that never existed (ref "
             << db_->objects()[n].ref << ")";

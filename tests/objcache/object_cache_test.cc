@@ -9,16 +9,29 @@
 
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "../support/env_seed.h"
+#include "../support/param_name.h"
+#include "../support/random_schema.h"
 #include "benchmark/generator.h"
 #include "core/complex_object_store.h"
+#include "nf2/serializer.h"
+#include "util/random.h"
 
 namespace starfish {
 namespace {
 
-Tuple SmallTuple(int32_t v) {
-  return Tuple({Value::Int32(v), Value::Str("payload-" + std::to_string(v))});
+/// The cache is format-agnostic: any byte string stands in for an image.
+/// Every image is 40 bytes (past any inline string buffer), so entries
+/// without pages are all charged the same.
+std::string SmallImage(int32_t v) {
+  std::string image(40, '.');
+  const std::string digits = std::to_string(v);
+  image.replace(0, digits.size(), digits);
+  return image;
 }
 
 ObjCacheOptions TinyOptions(size_t capacity = 1 << 20, uint32_t shards = 1) {
@@ -33,10 +46,10 @@ TEST(ObjectCacheTest, MissThenInsertThenHit) {
   ObjectCache cache(TinyOptions());
   uint64_t epoch = ~0ull;
   EXPECT_EQ(cache.Lookup(7, &epoch), nullptr);
-  cache.Insert(7, SmallTuple(7), {1, 2, 2, 1}, epoch);
+  cache.Insert(7, SmallImage(7), {1, 2, 2, 1}, epoch);
   ObjCacheEntryRef entry = cache.Lookup(7);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->object, SmallTuple(7));
+  EXPECT_EQ(entry->image, SmallImage(7));
   // The page list was deduped and sorted.
   EXPECT_EQ(entry->pages, (std::vector<PageId>{1, 2}));
   const ObjCacheStats stats = cache.stats();
@@ -49,14 +62,14 @@ TEST(ObjectCacheTest, MissThenInsertThenHit) {
 }
 
 TEST(ObjectCacheTest, CapacityEvictsLruFirst) {
-  // Measure one entry's charge (the tuples below all have the same shape),
+  // Measure one entry's charge (the images below all have the same size),
   // then size a single shard to hold exactly three.
   size_t charge = 0;
   {
     ObjectCache probe(TinyOptions());
     uint64_t epoch = 0;
     probe.Lookup(0, &epoch);
-    probe.Insert(0, SmallTuple(0), {}, epoch);
+    probe.Insert(0, SmallImage(0), {}, epoch);
     charge = probe.stats().bytes;
     ASSERT_GT(charge, 0u);
   }
@@ -64,14 +77,14 @@ TEST(ObjectCacheTest, CapacityEvictsLruFirst) {
   for (ObjectRef ref = 0; ref < 3; ++ref) {
     uint64_t epoch = 0;
     cache.Lookup(ref, &epoch);
-    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)), {}, epoch);
+    cache.Insert(ref, SmallImage(static_cast<int32_t>(ref)), {}, epoch);
   }
   ASSERT_EQ(cache.stats().entries, 3u);
   // Touch 0 so 1 becomes the LRU victim.
   EXPECT_NE(cache.Lookup(0), nullptr);
   uint64_t epoch = 0;
   cache.Lookup(99, &epoch);
-  cache.Insert(99, SmallTuple(99), {}, epoch);
+  cache.Insert(99, SmallImage(99), {}, epoch);
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_NE(cache.Lookup(0), nullptr) << "recently touched entry evicted";
   EXPECT_EQ(cache.Lookup(1), nullptr) << "LRU entry survived";
@@ -82,7 +95,7 @@ TEST(ObjectCacheTest, OversizeEntryIsNotCached) {
   ObjectCache cache(TinyOptions(64, 1));  // smaller than any entry charge
   uint64_t epoch = 0;
   cache.Lookup(1, &epoch);
-  cache.Insert(1, SmallTuple(1), {}, epoch);
+  cache.Insert(1, SmallImage(1), {}, epoch);
   EXPECT_EQ(cache.Lookup(1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().bytes, 0u);
@@ -94,7 +107,7 @@ TEST(ObjectCacheTest, InvalidateRefDropsEntryAndBlocksStaleInsert) {
   cache.Lookup(5, &epoch);  // miss: sample the pre-assembly epoch
   // A write races the assembly and invalidates before the insert.
   cache.InvalidateRef(5);
-  cache.Insert(5, SmallTuple(5), {}, epoch);
+  cache.Insert(5, SmallImage(5), {}, epoch);
   EXPECT_EQ(cache.Lookup(5), nullptr) << "stale assembly was published";
   EXPECT_EQ(cache.stats().stale_drops, 1u);
   EXPECT_EQ(cache.stats().inserts, 0u);
@@ -102,7 +115,7 @@ TEST(ObjectCacheTest, InvalidateRefDropsEntryAndBlocksStaleInsert) {
   // The non-racing sequence publishes fine...
   uint64_t fresh_epoch = 0;
   cache.Lookup(5, &fresh_epoch);
-  cache.Insert(5, SmallTuple(5), {}, fresh_epoch);
+  cache.Insert(5, SmallImage(5), {}, fresh_epoch);
   ASSERT_NE(cache.Lookup(5), nullptr);
   // ...and a later invalidation drops the resident entry.
   cache.InvalidateRef(5);
@@ -119,7 +132,7 @@ TEST(ObjectCacheTest, InvalidatePagesDropsEveryBackedEntry) {
     std::vector<PageId> pages =
         (ref % 2 == 0) ? std::vector<PageId>{100, static_cast<PageId>(ref)}
                        : std::vector<PageId>{static_cast<PageId>(200 + ref)};
-    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)), pages, epoch);
+    cache.Insert(ref, SmallImage(static_cast<int32_t>(ref)), pages, epoch);
   }
   ASSERT_EQ(cache.stats().entries, 8u);
   cache.InvalidatePages({100});
@@ -137,7 +150,7 @@ TEST(ObjectCacheTest, InvalidatePagesDropsEveryBackedEntry) {
   uint64_t epoch = 0;
   cache.Lookup(1000, &epoch);
   cache.InvalidatePages({42});
-  cache.Insert(1000, SmallTuple(1000), {}, epoch);
+  cache.Insert(1000, SmallImage(1000), {}, epoch);
   EXPECT_EQ(cache.Lookup(1000), nullptr);
 }
 
@@ -146,7 +159,7 @@ TEST(ObjectCacheTest, ClearDropsEverythingAndKeepsGaugesConsistent) {
   for (ObjectRef ref = 0; ref < 16; ++ref) {
     uint64_t epoch = 0;
     cache.Lookup(ref, &epoch);
-    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)),
+    cache.Insert(ref, SmallImage(static_cast<int32_t>(ref)),
                  {static_cast<PageId>(ref)}, epoch);
   }
   ASSERT_EQ(cache.stats().entries, 16u);
@@ -165,19 +178,19 @@ TEST(ObjectCacheTest, PinnedEntrySurvivesInvalidation) {
   ObjectCache cache(TinyOptions());
   uint64_t epoch = 0;
   cache.Lookup(3, &epoch);
-  cache.Insert(3, SmallTuple(3), {}, epoch);
+  cache.Insert(3, SmallImage(3), {}, epoch);
   ObjCacheEntryRef pinned = cache.Lookup(3);
   ASSERT_NE(pinned, nullptr);
   cache.InvalidateRef(3);
   EXPECT_EQ(cache.Lookup(3), nullptr);
-  EXPECT_EQ(pinned->object, SmallTuple(3)) << "pinned entry mutated";
+  EXPECT_EQ(pinned->image, SmallImage(3)) << "pinned entry mutated";
 }
 
 TEST(ObjectCacheTest, ResetStatsKeepsGauges) {
   ObjectCache cache(TinyOptions());
   uint64_t epoch = 0;
   cache.Lookup(1, &epoch);
-  cache.Insert(1, SmallTuple(1), {}, epoch);
+  cache.Insert(1, SmallImage(1), {}, epoch);
   const uint64_t resident = cache.stats().bytes;
   cache.ResetStats();
   const ObjCacheStats stats = cache.stats();
@@ -260,13 +273,46 @@ TEST(ObjectCacheTest, NegativeCachingDisabledByZeroCapacity) {
   EXPECT_EQ(cache.stats().negative_inserts, 0u);
 }
 
-TEST(ObjectCacheTest, DeepSizeOfGrowsWithContent) {
-  const size_t flat = DeepSizeOf(SmallTuple(1));
-  Tuple nested({Value::Int32(1),
-                Value::Relation({SmallTuple(2), SmallTuple(3)}),
-                Value::Str(std::string(256, 'x'))});
-  EXPECT_GT(DeepSizeOf(nested), flat);
-  EXPECT_GE(DeepSizeOf(nested), 256u);  // the long string is charged
+TEST(ObjectCacheTest, ChargeCoversEveryEntryAndFillStaysWithinCapacity) {
+  // Fill well past capacity with images of mixed sizes and page counts,
+  // some pages shared between entries; the resident charge must never
+  // exceed the budget, and every entry must be charged at least the bytes
+  // it holds.
+  constexpr size_t kCapacity = 64 << 10;
+  ObjectCache cache(TinyOptions(kCapacity, 4));
+  Rng rng(5);
+  for (ObjectRef ref = 0; ref < 2000; ++ref) {
+    uint64_t epoch = 0;
+    cache.Lookup(ref, &epoch);
+    std::vector<PageId> pages;
+    for (uint64_t p = rng.Uniform(6); p > 0; --p) {
+      pages.push_back(rng.Uniform(300));
+    }
+    cache.Insert(ref, std::string(rng.Uniform(400), 'x'), pages, epoch);
+    ASSERT_LE(cache.stats().bytes, kCapacity) << "after ref " << ref;
+  }
+  const ObjCacheStats stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0u) << "the fill never reached capacity";
+  EXPECT_GT(stats.bytes, kCapacity / 2) << "capacity mostly unused";
+  size_t resident = 0;
+  for (ObjectRef ref = 0; ref < 2000; ++ref) {
+    ObjCacheEntryRef entry = cache.Lookup(ref);
+    if (entry == nullptr) continue;
+    ++resident;
+    EXPECT_GE(entry->bytes,
+              entry->image.size() + entry->pages.size() * sizeof(PageId))
+        << "ref " << ref;
+  }
+  EXPECT_EQ(resident, stats.entries);
+
+  // A longer image is charged more than a short one.
+  ObjectCache sizes(TinyOptions());
+  uint64_t epoch = 0;
+  sizes.Lookup(1, &epoch);
+  sizes.Insert(1, std::string(20, 'a'), {}, epoch);
+  sizes.Lookup(2, &epoch);
+  sizes.Insert(2, std::string(300, 'b'), {}, epoch);
+  EXPECT_GE(sizes.Lookup(2)->bytes, sizes.Lookup(1)->bytes + 280);
 }
 
 // ----------------------------------------------------------------- store --
@@ -498,6 +544,157 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-' || c == '+') c = '_';
       }
       return name;
+    });
+
+// Cached reads must answer exactly like an uncached store over the same
+// data — cold (misses: read-through, and the navigation calls' model
+// fallback) and warm (every answer decoded from the entry's image) — for
+// every model with a cache, over both in-memory and mmap volumes, for the
+// benchmark's Station objects and for random schemas (links after
+// relation attributes included), under random projections.
+class ObjCacheDifferentialTest
+    : public ::testing::TestWithParam<
+          std::tuple<StorageModelKind, VolumeKind>> {
+ protected:
+  void TearDown() override {
+    for (const std::string& dir : dirs_) {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  }
+
+  std::unique_ptr<ComplexObjectStore> OpenStore(
+      const std::shared_ptr<const Schema>& schema, bool cached) {
+    StoreOptions options;
+    options.model = std::get<0>(GetParam());
+    options.backend = std::get<1>(GetParam());
+    if (options.backend == VolumeKind::kMmap) {
+      std::string name =
+          std::string("starfish_objcache_diff_") +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+          "_" + std::to_string(dirs_.size());
+      for (char& c : name) {
+        if (c == '/') c = '_';
+      }
+      options.path =
+          (std::filesystem::temp_directory_path() / name).string();
+      std::filesystem::remove_all(options.path);
+      dirs_.push_back(options.path);
+    }
+    options.objcache.enabled = cached;
+    auto store = ComplexObjectStore::Open(schema, options);
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    return store.ok() ? std::move(store).value() : nullptr;
+  }
+
+  void CheckDataset(const std::shared_ptr<const Schema>& schema,
+                    const std::vector<Tuple>& objects, Rng* rng) {
+    auto cached = OpenStore(schema, /*cached=*/true);
+    auto plain = OpenStore(schema, /*cached=*/false);
+    ASSERT_NE(cached, nullptr);
+    ASSERT_NE(plain, nullptr);
+    ASSERT_NE(cached->object_cache(), nullptr);
+    for (size_t i = 0; i < objects.size(); ++i) {
+      ASSERT_TRUE(cached->Put(i, objects[i]).ok());
+      ASSERT_TRUE(plain->Put(i, objects[i]).ok());
+    }
+    const ObjectSerializer serializer(schema);
+    std::vector<Projection> projections;
+    for (size_t n = 0; n < schema->path_count(); ++n) {
+      projections.push_back(test::RandomProjection(rng, *schema));
+    }
+    projections.push_back(Projection::RootOnly(*schema));
+
+    for (const bool warm : {false, true}) {
+      SCOPED_TRACE(warm ? "warm" : "cold");
+      const ObjCacheStats before = cached->objcache_stats();
+      for (ObjectRef ref = 0; ref < objects.size(); ++ref) {
+        SCOPED_TRACE("ref " + std::to_string(ref));
+        // Navigation first: cold, these fall through to the model.
+        auto children = cached->Children(ref);
+        auto plain_children = plain->Children(ref);
+        ASSERT_TRUE(children.ok()) << children.status().ToString();
+        ASSERT_TRUE(plain_children.ok());
+        EXPECT_EQ(children.value(), plain_children.value());
+        auto root = cached->RootRecord(ref);
+        auto plain_root = plain->RootRecord(ref);
+        ASSERT_TRUE(root.ok()) << root.status().ToString();
+        ASSERT_TRUE(plain_root.ok());
+        EXPECT_EQ(root.value(), plain_root.value());
+        // A projected Get first, so a cold miss returns a projection of
+        // the assembly it just encoded.
+        const Projection& first =
+            projections[rng->Uniform(projections.size())];
+        const Projection* second = &projections.back();
+        for (const Projection* proj : {&first, second}) {
+          auto got = cached->Get(ref, *proj);
+          auto want = plain->Get(ref, *proj);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_TRUE(want.ok());
+          EXPECT_EQ(got.value(), want.value()) << proj->ToString();
+        }
+        auto full = cached->Get(ref);
+        ASSERT_TRUE(full.ok());
+        EXPECT_EQ(full.value(), objects[ref]);
+        ObjCacheEntryRef entry = cached->object_cache()->Lookup(ref);
+        ASSERT_NE(entry, nullptr);
+        EXPECT_EQ(entry->image, serializer.EncodeImage(objects[ref]));
+      }
+      const ObjCacheStats delta = cached->objcache_stats().Since(before);
+      // Cold: exactly one read-through per object. Warm: none.
+      EXPECT_EQ(delta.inserts, warm ? 0u : objects.size());
+    }
+  }
+
+  std::vector<std::string> dirs_;
+};
+
+TEST_P(ObjCacheDifferentialTest, CachedReadsAnswerLikeTheUncachedStore) {
+  const uint64_t seed = test::TestSeed(31);
+  SCOPED_TRACE("STARFISH_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  {
+    bench::GeneratorConfig config;
+    config.n_objects = 16;
+    config.seed = seed;
+    auto db = bench::BenchmarkDatabase::Generate(config);
+    ASSERT_TRUE(db.ok());
+    std::vector<Tuple> objects;
+    for (const auto& object : db->objects()) objects.push_back(object.tuple);
+    SCOPED_TRACE("station schema");
+    CheckDataset(db->schema(), objects, &rng);
+  }
+  for (int s = 0; s < 3; ++s) {
+    SCOPED_TRACE("random schema " + std::to_string(s));
+    auto schema = test::RandomSchema(&rng, 0, 1 + s, "T");
+    std::vector<Tuple> objects;
+    for (int i = 0; i < 12; ++i) {
+      objects.push_back(
+          test::RandomTuple(&rng, *schema, i + 1, 12, /*is_root=*/true));
+    }
+    CheckDataset(schema, objects, &rng);
+  }
+}
+
+std::vector<std::tuple<StorageModelKind, VolumeKind>> CachedConfigs() {
+  std::vector<std::tuple<StorageModelKind, VolumeKind>> out;
+  for (StorageModelKind kind : AllStorageModelKinds()) {
+    if (kind == StorageModelKind::kNsm) continue;  // no cache for plain NSM
+    out.emplace_back(kind, VolumeKind::kMem);
+    out.emplace_back(kind, VolumeKind::kMmap);
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CachedModels, ObjCacheDifferentialTest,
+    ::testing::ValuesIn(CachedConfigs()),
+    [](const ::testing::TestParamInfo<ObjCacheDifferentialTest::ParamType>&
+           info) {
+      return test::ParamName(ToString(std::get<0>(info.param)) +
+                             (std::get<1>(info.param) == VolumeKind::kMem
+                                  ? "_mem"
+                                  : "_mmap"));
     });
 
 // Persistent stores: write-capture (page-based) invalidation and the

@@ -18,6 +18,7 @@
 
 #include "benchmark/generator.h"
 #include "core/complex_object_store.h"
+#include "nf2/serializer.h"
 #include "objcache/object_cache.h"
 #include "tools/fsck.h"
 
@@ -276,6 +277,9 @@ TEST_P(WalTxnTest, RollbackRacesAReaderHoldingAnObjcacheEntry) {
   const auto& target = db_->objects()[1];
   Tuple replacement = target.tuple;
   replacement.values[1] = Value::Int32(-123456);
+  const ObjectSerializer serializer(db_->schema());
+  const std::string v1_image = serializer.EncodeImage(target.tuple);
+  const std::string v2_image = serializer.EncodeImage(replacement);
   ASSERT_TRUE(store->Get(target.ref).ok());  // cache <- v1
   ASSERT_NE(store->object_cache(), nullptr);
   ASSERT_NE(store->object_cache()->Lookup(target.ref), nullptr)
@@ -288,9 +292,9 @@ TEST_P(WalTxnTest, RollbackRacesAReaderHoldingAnObjcacheEntry) {
     while (!stop.load(std::memory_order_relaxed)) {
       ObjCacheEntryRef entry = cache->Lookup(target.ref);
       if (entry == nullptr) continue;
-      const bool is_v1 = entry->object == target.tuple;
-      const bool is_v2 = entry->object == replacement;
-      ASSERT_TRUE(is_v1 || is_v2) << "cache served a torn tuple";
+      const bool is_v1 = entry->image == v1_image;
+      const bool is_v2 = entry->image == v2_image;
+      ASSERT_TRUE(is_v1 || is_v2) << "cache served a torn image";
       hits.fetch_add(1, std::memory_order_relaxed);
     }
   });
