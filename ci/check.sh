@@ -68,11 +68,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 echo "== crash matrix =="
 # The durability gate: every FaultVolume fault point during Put/Flush/close
 # must recover to the last committed catalog generation with sf_fsck clean,
-# and a corrupted generation file must fall back or fail cleanly. These run
-# in ctest too; the dedicated stage keeps the durability signal readable on
-# its own and fails loudly before the perf stages.
+# and a corrupted generation file must fall back or fail cleanly. The
+# FormatVersion suite is the other half of that fallback rule: a directory
+# in a format this build does not read (an older volume.meta or catalog
+# frame, a pre-generation catalog.sf, a newer frame) must be refused with
+# NotSupported and left byte-identical — never fallen back from, migrated
+# or taken for a fresh directory. These run in ctest too; the dedicated
+# stage keeps the durability signal readable on its own and fails loudly
+# before the perf stages.
 "$BUILD_DIR/starfish_tests" \
-    --gtest_filter='*CrashMatrix*:*CatalogFuzz*:*FsckTest*:*FaultVolume*'
+    --gtest_filter='*CrashMatrix*:*CatalogFuzz*:*FormatVersion*:*FsckTest*:*FaultVolume*'
 
 echo "== WAL crash matrix =="
 # The multi-writer durability gate: concurrent writers + power loss at

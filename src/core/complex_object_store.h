@@ -352,7 +352,7 @@ class ComplexObjectStore {
   }
 
   /// Generation of the committed catalog this store runs on: what Open
-  /// resolved (0 for a fresh or legacy store), advanced by every durable
+  /// resolved (0 for a fresh store), advanced by every durable
   /// Flush.
   uint64_t catalog_generation() const { return generation_; }
 
@@ -364,7 +364,7 @@ class ComplexObjectStore {
   /// after a clean close, or when recovery went through the scrub path).
   uint64_t replayed_wal_records() const { return replayed_wal_records_; }
 
-  /// The store's write-ahead log, or nullptr (mem backend / legacy-only).
+  /// The store's write-ahead log, or nullptr (mem backend).
   /// Tests read LSNs and poison state through this.
   WalManager* wal() { return wal_.get(); }
 
@@ -424,15 +424,14 @@ class ComplexObjectStore {
 
   /// Serializes the catalog payload (store header + engine segment catalog
   /// + model state) — the bytes a generation file frames and checksums.
-  /// `wal_checkpoint_lsn` is the v3 payload's log-truncation point.
+  /// `wal_checkpoint_lsn` is the payload's log-truncation point.
   Status BuildCatalogPayload(std::string* payload,
                              uint64_t wal_checkpoint_lsn) const;
 
   /// Open-time WAL attach + recovery of a persistent store: scans the log,
   /// decides replay vs scrub, installs pre-images and re-runs the
   /// committed tail, wires the buffer-pool hooks. `reopen` = a committed
-  /// catalog was loaded; `checkpoint_lsn` = its v3 truncation point (0 for
-  /// v2/legacy).
+  /// catalog was loaded; `checkpoint_lsn` = its truncation point.
   Status AttachWalAndRecover(bool reopen, uint64_t checkpoint_lsn);
 
   /// Re-applies one logged op through the normal model write path (replay
@@ -507,8 +506,8 @@ class ComplexObjectStore {
 
   StoreOptions options_;
   std::shared_ptr<const Schema> schema_;
-  /// Write-ahead log of a persistent store (null for mem / when the open
-  /// fell back to a WAL-less legacy flow). Owns wal.log in options_.path.
+  /// Write-ahead log of a persistent store (null for mem). Owns wal.log in
+  /// options_.path.
   /// Declared BEFORE engine_: the buffer pool's teardown flush calls the
   /// ordering hook, so the manager must outlive it.
   std::unique_ptr<WalManager> wal_;
@@ -523,7 +522,7 @@ class ComplexObjectStore {
   /// Set by Close(): the destructor's fallback checkpoint already ran (or
   /// was explicitly requested and reported).
   std::atomic<bool> closed_{false};
-  /// Committed generation this store runs on (0 = fresh/legacy).
+  /// Committed generation this store runs on (0 = fresh).
   uint64_t generation_ = 0;
   /// Number the next checkpoint commits as. Always past every generation
   /// file ever seen in the directory, so an aborted checkpoint's leftover

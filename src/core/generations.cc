@@ -12,10 +12,6 @@ namespace starfish {
 namespace {
 
 constexpr uint32_t kCatalogMagic = 0x54434653;  // "SFCT"
-constexpr uint32_t kCatalogVersionLegacy = 1;
-// v2 and v3 share the frame layout; v3 payloads additionally carry the WAL
-// checkpoint LSN (parsed by the store, not here). New files are written v3.
-constexpr uint32_t kCatalogVersionV2 = 2;
 constexpr uint32_t kCatalogVersion = 3;
 
 /// Name of generation `gen`, without the directory.
@@ -24,7 +20,7 @@ std::string GenerationName(uint64_t gen) {
 }
 
 /// Parses "catalog.<digits>.sf" into `*gen`; false for everything else
-/// (including the legacy "catalog.sf", which has no digits).
+/// (including the pre-generation "catalog.sf", which has no digits).
 bool ParseGenerationName(const std::string& name, uint64_t* gen) {
   constexpr std::string_view kPrefix = "catalog.";
   constexpr std::string_view kSuffix = ".sf";
@@ -52,8 +48,14 @@ std::string CatalogGenerationPath(const std::string& dir, uint64_t gen) {
 
 std::string CurrentPath(const std::string& dir) { return dir + "/CURRENT"; }
 
-std::string LegacyCatalogPath(const std::string& dir) {
-  return dir + "/catalog.sf";
+Status CheckNoPreGenerationCatalog(const std::string& dir) {
+  const std::string path = dir + "/catalog.sf";
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return Status::OK();
+  return Status::NotSupported(
+      "pre-generation catalog " + path +
+      " (catalog format version 1) is not supported; this build reads "
+      "catalog frame version " + std::to_string(kCatalogVersion) + " only");
 }
 
 Result<uint64_t> ReadCurrentGeneration(const std::string& dir, bool* found) {
@@ -116,15 +118,6 @@ Result<CatalogFile> ReadCatalogFile(const std::string& path) {
     return Status::Corruption("bad catalog magic in " + path);
   }
   CatalogFile file;
-  if (version == kCatalogVersionLegacy) {
-    file.legacy = true;
-    file.payload.assign(in.data(), in.size());
-    return file;
-  }
-  if (version != kCatalogVersionV2 && version != kCatalogVersion) {
-    return Status::Corruption("unsupported catalog version in " + path);
-  }
-  file.version = version;
   if (!GetFixed64(&in, &file.generation) || in.size() < 4) {
     return Status::Corruption("truncated catalog in " + path);
   }
@@ -135,6 +128,14 @@ Result<CatalogFile> ReadCatalogFile(const std::string& path) {
   const std::string_view framed(bytes.data(), bytes.size() - 4);
   if (Crc32(framed) != stored_crc) {
     return Status::Corruption("catalog checksum mismatch in " + path);
+  }
+  // Only an intact frame says which version wrote it: a damaged version
+  // field failed the checksum above and stays Corruption.
+  if (version != kCatalogVersion) {
+    return Status::NotSupported(
+        "catalog frame version " + std::to_string(version) + " in " + path +
+        " is not supported; this build reads version " +
+        std::to_string(kCatalogVersion) + " only");
   }
   file.payload.assign(body.data(), body.size());
   return file;
@@ -173,8 +174,8 @@ Status ResolveCommittedCatalog(const std::string& dir, ResolvedCatalog* out) {
   for (uint64_t candidate : candidates) {
     const std::string path = CatalogGenerationPath(dir, candidate);
     auto file_or = ReadCatalogFile(path);
-    if (file_or.ok() && !file_or.value().legacy &&
-        file_or.value().generation == candidate) {
+    if (file_or.status().IsNotSupported()) return file_or.status();
+    if (file_or.ok() && file_or.value().generation == candidate) {
       out->loaded = candidate;
       out->fallback = candidate != out->current;
       out->file = std::move(file_or).value();

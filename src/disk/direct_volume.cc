@@ -41,10 +41,6 @@ namespace {
 /// costs nothing).
 constexpr size_t kBounceAlign = 4096;
 
-/// Journals longer than this are compacted at reopen (same policy as the
-/// mmap backend).
-constexpr uint32_t kCompactRecordThreshold = 64;
-
 /// Each DirectVolume gets a process-unique serial so a thread-local ring
 /// slot left over from a destroyed volume can never match a live one.
 std::atomic<uint64_t> g_volume_serial{1};
@@ -774,12 +770,7 @@ Result<std::unique_ptr<DirectVolume>> DirectVolume::Open(
     }
   }
   volume->RestoreAllocatorState(pages, replay.state.freed);
-  volume->journal_.MarkReplayed(replay.state);
-  if (replay.legacy || replay.torn_tail ||
-      replay.records > kCompactRecordThreshold) {
-    STARFISH_RETURN_NOT_OK(
-        volume->journal_.RewriteCompacted(volume->CurrentMetaState()));
-  }
+  STARFISH_RETURN_NOT_OK(volume->journal_.MarkReplayed(replay));
   return volume;
 #endif
 }

@@ -17,14 +17,6 @@
 
 namespace starfish {
 
-namespace {
-
-/// Journals longer than this are compacted to a single snapshot at reopen;
-/// between reopens they grow by one small delta per checkpoint.
-constexpr uint32_t kCompactRecordThreshold = 64;
-
-}  // namespace
-
 Result<std::unique_ptr<MmapVolume>> MmapVolume::Open(const std::string& dir,
                                                      DiskOptions options) {
 #if !STARFISH_HAVE_MMAP
@@ -78,15 +70,7 @@ Result<std::unique_ptr<MmapVolume>> MmapVolume::Open(const std::string& dir,
       }
     }
     volume->RestoreAllocatorState(pages, replay.state.freed);
-    volume->journal_.MarkReplayed(replay.state);
-    if (replay.legacy || replay.torn_tail ||
-        replay.records > kCompactRecordThreshold) {
-      // Legacy formats upgrade, torn tails must not poison later appends
-      // (replay stops at the first bad record), and long journals fold into
-      // one snapshot.
-      STARFISH_RETURN_NOT_OK(
-          volume->journal_.RewriteCompacted(volume->CurrentMetaState()));
-    }
+    STARFISH_RETURN_NOT_OK(volume->journal_.MarkReplayed(replay));
   }
   return volume;
 #endif

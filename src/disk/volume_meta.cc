@@ -12,8 +12,11 @@ namespace starfish {
 namespace {
 
 constexpr uint32_t kMetaMagic = 0x4D564653;  // "SFVM"
-constexpr uint32_t kMetaVersionLegacy = 1;
 constexpr uint32_t kMetaVersion = 2;
+
+/// Journals longer than this are compacted to a single snapshot at reopen;
+/// between reopens they grow by one small delta per checkpoint.
+constexpr uint32_t kCompactRecordThreshold = 64;
 
 constexpr uint32_t kRecordSnapshot = 1;
 constexpr uint32_t kRecordDelta = 2;
@@ -78,25 +81,6 @@ bool ApplyRecord(uint32_t kind, std::string_view payload,
   return false;  // unknown kind
 }
 
-Status ReplayLegacy(const std::string& path, std::string_view in,
-                    VolumeMetaReplay* out) {
-  if (!GetFixed32(&in, &out->state.options.page_size) ||
-      !GetFixed32(&in, &out->state.options.extent_bytes) ||
-      !GetFixed64(&in, &out->state.page_count)) {
-    return Status::Corruption("truncated volume.meta in " + path);
-  }
-  const size_t bitmap_bytes = (out->state.page_count + 7) / 8;
-  if (in.size() < bitmap_bytes) {
-    return Status::Corruption("truncated freed bitmap in " + path);
-  }
-  out->state.freed.assign(out->state.page_count, false);
-  for (uint64_t i = 0; i < out->state.page_count; ++i) {
-    if (in[i / 8] & (1 << (i % 8))) out->state.freed[i] = true;
-  }
-  out->legacy = true;
-  return Status::OK();
-}
-
 }  // namespace
 
 Status ReplayVolumeMeta(const std::string& path, VolumeMetaReplay* out) {
@@ -115,7 +99,12 @@ Status ReplayVolumeMeta(const std::string& path, VolumeMetaReplay* out) {
   if (!GetFixed32(&in, &version)) {
     return Status::Corruption("truncated volume.meta in " + path);
   }
-  if (version == kMetaVersionLegacy) return ReplayLegacy(path, in, out);
+  if (version < kMetaVersion) {
+    return Status::NotSupported(
+        "volume.meta version " + std::to_string(version) + " in " + path +
+        " is not supported; this build reads version " +
+        std::to_string(kMetaVersion) + " only");
+  }
   if (version != kMetaVersion) {
     return Status::Corruption("unsupported volume.meta version in " + path);
   }
@@ -217,6 +206,15 @@ Status RemoveOrphanExtentFiles(const std::string& dir, size_t expected) {
     }
   }
   if (!doomed.empty()) STARFISH_RETURN_NOT_OK(SyncDir(dir));
+  return Status::OK();
+}
+
+Status AllocatorJournal::MarkReplayed(const VolumeMetaReplay& replay) {
+  last_ = replay.state;
+  on_disk_ = true;
+  if (replay.torn_tail || replay.records > kCompactRecordThreshold) {
+    return RewriteCompacted(replay.state);
+  }
   return Status::OK();
 }
 

@@ -32,9 +32,8 @@
 /// Replay applies records in order and stops at the first torn or corrupt
 /// record (short frame, bad checksum, implausible payload): everything
 /// before it is the durable allocator state, everything after never
-/// happened. The version-1 format (one unchecksummed snapshot, rewritten
-/// atomically per Sync) is still read for volumes written by older builds;
-/// the first checkpoint after reopen compacts them to version 2.
+/// happened. Version 2 is the only one this build reads: an older header is
+/// NotSupported (never migrated), any other is Corruption.
 ///
 /// This module is shared by the writers (MmapVolume, DirectVolume — the two
 /// persistent backends write the identical format, so a volume directory
@@ -63,14 +62,14 @@ struct VolumeMetaState {
 struct VolumeMetaReplay {
   VolumeMetaState state;
   bool found = false;      ///< the file existed
-  bool legacy = false;     ///< version-1 single-snapshot format
   bool torn_tail = false;  ///< a trailing record was dropped as torn/corrupt
-  uint32_t records = 0;    ///< valid records applied (0 for legacy)
+  uint32_t records = 0;    ///< valid records applied
 };
 
 /// Replays `path` into `*out`. A missing file is not an error (`found`
 /// stays false). A corrupt *header* is Corruption — treating it as absent
-/// would re-format a live volume; only tail records degrade gracefully.
+/// would re-format a live volume; only tail records degrade gracefully. A
+/// header older than version 2 is NotSupported.
 Status ReplayVolumeMeta(const std::string& path, VolumeMetaReplay* out);
 
 /// Appends the version-2 file header.
@@ -89,7 +88,7 @@ void AppendDeltaRecord(std::string* out, uint64_t new_page_count,
 std::string ExtentFileName(size_t index);
 
 /// Parses an extent file name back into its index; false for anything
-/// else (including the legacy-free "catalog.*" and "volume.meta" names).
+/// else (including the "catalog.*" and "volume.meta" names).
 bool ParseExtentFileName(const std::string& name, uint64_t* index);
 
 /// Removes extent files at index `expected` or beyond from `dir` (the
@@ -112,23 +111,22 @@ class AllocatorJournal {
   /// Binds the journal to its file path. Call once before any other method.
   void Attach(std::string path) { path_ = std::move(path); }
 
-  /// Declares `state` to be what a successful replay recovered: the file
-  /// exists and `state` is its durable content.
-  void MarkReplayed(VolumeMetaState state) {
-    last_ = std::move(state);
-    on_disk_ = true;
-  }
+  /// Declares `replay` — a successful replay of this journal's file — to
+  /// be the durable state, and compacts the journal when it must: a torn
+  /// tail would hide later appends from replay (it stops at the first bad
+  /// record), and a long journal folds into one snapshot.
+  Status MarkReplayed(const VolumeMetaReplay& replay);
 
   /// Records `current` durably: appends a delta against the last durable
   /// record, or rewrites the journal compacted where a delta cannot express
   /// the change. No-op when nothing moved.
   Status Checkpoint(VolumeMetaState current);
 
+ private:
   /// Atomically replaces the journal with a compacted header + snapshot of
   /// `current` (also heals a torn tail: the replacement is atomic).
   Status RewriteCompacted(VolumeMetaState current);
 
- private:
   std::string path_;
   /// Allocator state as of the last durable journal record; the next
   /// checkpoint appends the delta against it.

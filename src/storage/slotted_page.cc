@@ -127,8 +127,21 @@ Result<uint16_t> SlottedPage::Insert(std::string_view record) {
 }
 
 Status SlottedPage::CheckLiveSlot(uint16_t slot) const {
-  if (slot >= slot_count() || slot_offset(slot) == 0) {
+  // A damaged page must not send a reader outside its frame: the directory
+  // lies inside the page, and a live record between it and the page end.
+  const uint16_t n = slot_count();
+  const uint32_t dir_end = kPageHeaderSize + n * kSlotEntrySize;
+  if (dir_end > page_size_) {
+    return Status::Corruption("slot directory of " + std::to_string(n) +
+                              " entries overruns the page");
+  }
+  if (slot >= n || slot_offset(slot) == 0) {
     return Status::NotFound("no record in slot " + std::to_string(slot));
+  }
+  const uint16_t offset = slot_offset(slot);
+  if (offset < dir_end || offset + slot_length(slot) > page_size_) {
+    return Status::Corruption("slot " + std::to_string(slot) +
+                              " points outside the record heap");
   }
   return Status::OK();
 }

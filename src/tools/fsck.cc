@@ -31,10 +31,6 @@ struct FsckContext {
   std::map<PageId, std::pair<uint32_t, PageType>> referenced;
   /// The wal.log scan (valid whenever wal.found && wal.header_valid).
   WalScan wal;
-  /// The committed catalog payload carries a WAL checkpoint LSN (v3+):
-  /// gates the page-LSN-vs-log-horizon cross-check, which would be
-  /// meaningless over a pre-WAL directory.
-  bool catalog_has_wal_lsn = false;
 
   void Error(const std::string& message) {
     report->errors.push_back(message);
@@ -104,9 +100,6 @@ void CheckVolume(FsckContext* ctx) {
   if (replay.torn_tail) {
     ctx->Warn("volume.meta: torn tail record dropped (crash artifact; "
               "replay recovered the last durable allocator state)");
-  }
-  if (replay.legacy) {
-    ctx->Warn("volume.meta: legacy v1 format (next checkpoint upgrades)");
   }
   if (replay.state.options.page_size == 0) {
     ctx->Error("volume.meta: zero page size");
@@ -208,7 +201,7 @@ void CheckCatalogedPage(FsckContext* ctx, uint32_t segment_ordinal,
   // WAL-before-data horizon: a committed page stamped with an LSN the log
   // never issued means a page image reached the medium with no durable
   // record explaining it.
-  if (ctx->catalog_has_wal_lsn && ctx->wal.found && ctx->wal.header_valid) {
+  if (ctx->wal.found && ctx->wal.header_valid) {
     const uint64_t page_lsn = GetPageLsn(image.data());
     if (page_lsn >= ctx->wal.next_lsn) {
       ctx->Error(where + ": page LSN " + std::to_string(page_lsn) +
@@ -497,10 +490,8 @@ bool CheckModelState(FsckContext* ctx, StorageModelKind kind,
   return false;
 }
 
-/// Full structural walk of one catalog payload. `has_wal_lsn` = v3+
-/// payload (carries the WAL checkpoint LSN after the path count).
-void CheckCatalogPayload(FsckContext* ctx, std::string_view payload,
-                         bool has_wal_lsn) {
+/// Full structural walk of one catalog payload.
+void CheckCatalogPayload(FsckContext* ctx, std::string_view payload) {
   uint32_t model_kind = 0, page_size = 0, path_count = 0;
   uint64_t key_attr = 0;
   std::string_view schema_name;
@@ -509,12 +500,10 @@ void CheckCatalogPayload(FsckContext* ctx, std::string_view payload,
       !GetFixed64(&payload, &key_attr) ||
       !GetLengthPrefixed(&payload, &schema_name) ||
       !GetFixed32(&payload, &path_count) ||
-      (has_wal_lsn &&
-       !GetFixed64(&payload, &ctx->report->wal_checkpoint_lsn))) {
+      !GetFixed64(&payload, &ctx->report->wal_checkpoint_lsn)) {
     ctx->Error("catalog: truncated store header");
     return;
   }
-  ctx->catalog_has_wal_lsn = has_wal_lsn;
   if (model_kind > static_cast<uint32_t>(StorageModelKind::kDasdbsNsm)) {
     ctx->Error("catalog: unknown storage model kind " +
                std::to_string(model_kind));
@@ -556,19 +545,9 @@ void CheckCatalog(FsckContext* ctx) {
   }
 
   if (!resolved.any_committed) {
-    std::error_code ec;
-    if (std::filesystem::exists(LegacyCatalogPath(ctx->dir), ec)) {
-      auto file_or = ReadCatalogFile(LegacyCatalogPath(ctx->dir));
-      if (!file_or.ok()) {
-        ctx->Error("legacy catalog: " + file_or.status().ToString());
-        return;
-      }
-      ctx->report->catalog_found = true;
-      ctx->report->legacy_catalog = true;
-      ctx->Warn("legacy single-file catalog without CURRENT (unchecksummed; "
-                "the next checkpoint migrates to generations)");
-      CheckCatalogPayload(ctx, file_or.value().payload,
-                          /*has_wal_lsn=*/false);
+    const Status unsupported = CheckNoPreGenerationCatalog(ctx->dir);
+    if (!unsupported.ok()) {
+      ctx->Error(unsupported.ToString());
       return;
     }
     for (uint64_t gen : resolved.generations) {
@@ -601,8 +580,7 @@ void CheckCatalog(FsckContext* ctx) {
               " is the newest loadable one (Open would fall back and "
               "repair CURRENT)");
   }
-  CheckCatalogPayload(ctx, resolved.file.payload,
-                      /*has_wal_lsn=*/resolved.file.version >= 3);
+  CheckCatalogPayload(ctx, resolved.file.payload);
 }
 
 // --------------------------------------------------------------- layer 5 --
@@ -646,7 +624,7 @@ void ScanWal(FsckContext* ctx) {
 // as aborted (its ops have no commit verdict) — so it warns, never errors.
 void CheckWalTxnFraming(FsckContext* ctx) {
   if (!ctx->wal.found || !ctx->wal.header_valid) return;
-  const uint64_t horizon = ctx->catalog_has_wal_lsn
+  const uint64_t horizon = ctx->report->catalog_found
                                ? ctx->report->wal_checkpoint_lsn
                                : ctx->wal.base_lsn;
   std::map<uint64_t, uint64_t> open_txns;  // txn id -> begin LSN
@@ -677,7 +655,7 @@ void CheckWalTxnFraming(FsckContext* ctx) {
 }
 
 void CheckWalAgainstCatalog(FsckContext* ctx) {
-  if (!ctx->report->catalog_found || !ctx->catalog_has_wal_lsn) return;
+  if (!ctx->report->catalog_found) return;
   const uint64_t checkpoint_lsn = ctx->report->wal_checkpoint_lsn;
   if (!ctx->wal.found) {
     ctx->Warn("wal.log: missing for a WAL-aware catalog (the next open "
@@ -753,10 +731,8 @@ std::string FsckReport::ToString() const {
     out += "  volume: no volume.meta\n";
   }
   if (catalog_found) {
-    out += "  catalog: " +
-           (legacy_catalog ? std::string("legacy catalog.sf")
-                           : "generation " + std::to_string(generation)) +
-           ", " + std::to_string(segment_count) + " segments, " +
+    out += "  catalog: generation " + std::to_string(generation) + ", " +
+           std::to_string(segment_count) + " segments, " +
            std::to_string(referenced_pages) + " referenced pages, " +
            std::to_string(orphan_pages) + " orphans\n";
   } else {

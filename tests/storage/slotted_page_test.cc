@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace starfish {
@@ -65,6 +66,59 @@ TEST_F(SlottedPageTest, ReadInvalidSlotFails) {
   EXPECT_TRUE(page_.Read(0).status().IsNotFound());
   ASSERT_TRUE(page_.Insert("x").ok());
   EXPECT_TRUE(page_.Read(5).status().IsNotFound());
+}
+
+// Damaged slot layouts: a read must report Corruption instead of
+// returning bytes outside the page (the frame pool is one allocation, so an
+// overrun would read a neighbouring frame without a sanitizer report).
+class SlottedPageBoundsTest : public SlottedPageTest {
+ protected:
+  void SetSlotCount(uint16_t n) { EncodeFixed16(data_.data() + 4, n); }
+  void SetSlot(uint16_t slot, uint16_t offset, uint16_t length) {
+    char* entry = data_.data() + kPageHeaderSize + slot * 4;
+    EncodeFixed16(entry, offset);
+    EncodeFixed16(entry + 2, length);
+  }
+};
+
+TEST_F(SlottedPageBoundsTest, RecordEndingAtThePageEndReads) {
+  ASSERT_TRUE(page_.Insert("first").ok());
+  auto second = page_.Insert("second");
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(page_.Read(0).value(), "first");
+  EXPECT_EQ(page_.Read(second.value()).value(), "second");
+  EXPECT_TRUE(page_.Read(2).status().IsNotFound());
+}
+
+TEST_F(SlottedPageBoundsTest, DirectoryEntryOutsideThePageIsCorruption) {
+  ASSERT_TRUE(page_.Insert("record").ok());
+  SetSlotCount(0xFFFF);
+  // Slot 600's entry would sit at byte 36 + 2400, past the 2048-byte page.
+  EXPECT_TRUE(page_.Read(600).status().IsCorruption());
+  EXPECT_TRUE(page_.Read(0).status().IsCorruption());
+  EXPECT_TRUE(page_.Update(600, "x").IsCorruption());
+  EXPECT_TRUE(page_.Delete(600).IsCorruption());
+}
+
+TEST_F(SlottedPageBoundsTest, OffsetInsideHeaderOrDirectoryIsCorruption) {
+  ASSERT_TRUE(page_.Insert("aaaa").ok());
+  ASSERT_TRUE(page_.Insert("bbbb").ok());
+  SetSlot(0, 10, 4);  // inside the page header
+  EXPECT_TRUE(page_.Read(0).status().IsCorruption());
+  SetSlot(0, kPageHeaderSize + 4, 4);  // slot 1's directory entry
+  EXPECT_TRUE(page_.Read(0).status().IsCorruption());
+  EXPECT_EQ(page_.Read(1).value(), "bbbb");
+}
+
+TEST_F(SlottedPageBoundsTest, RecordPastThePageEndIsCorruption) {
+  ASSERT_TRUE(page_.Insert("record").ok());
+  SetSlot(0, 0xFFF0, 6);
+  EXPECT_TRUE(page_.Read(0).status().IsCorruption());
+  SetSlot(0, kDefaultPageSize - 4, 6);  // starts inside, ends 2 bytes out
+  EXPECT_TRUE(page_.Read(0).status().IsCorruption());
+  EXPECT_TRUE(page_.Update(0, "other").IsCorruption());
+  SetSlot(0, kDefaultPageSize - 6, 6);  // the original layout reads again
+  EXPECT_EQ(page_.Read(0).value(), "record");
 }
 
 TEST_F(SlottedPageTest, FreeSpaceShrinksWithInserts) {
