@@ -28,7 +28,9 @@
 // without O_DIRECT the binary records "direct_skipped": true and exits 0.
 //
 // Writes BENCH_mt_read.json (BENCH_mt_read_mmap.json for --backend mmap,
-// BENCH_mt_read_direct.json for --backend direct).
+// BENCH_mt_read_direct.json for --backend direct). Every row carries its
+// backend, the runner's core count (nproc) and whether it ran more
+// threads than cores.
 //
 // Usage:
 //   bench_mt_read [--backend mem|mmap|direct]
@@ -399,18 +401,25 @@ void WriteJson(const std::vector<BenchResult>& results, const char* path) {
     std::fprintf(stderr, "bench_mt_read: cannot open %s\n", path);
     std::exit(1);
   }
+  const unsigned nproc = std::thread::hardware_concurrency();
   std::fprintf(f, "{\n  \"benchmarks\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     // ns_per_op stays on the row's line: the CI gate and
-    // --compare-hotpath parse rows by line.
+    // --compare-hotpath parse rows by line. Every row names its backend
+    // and the runner's core count; a row with more threads than cores is
+    // marked oversubscribed — it shows contention, not scaling.
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"threads\": %u, "
                  "\"ops_per_sec\": %.0f, \"ns_per_op\": %.2f, "
-                 "\"assembly_hit_ratio\": %.4f, \"total_ops\": %llu}%s\n",
+                 "\"assembly_hit_ratio\": %.4f, \"total_ops\": %llu, "
+                 "\"backend\": \"%s\", \"nproc\": %u, "
+                 "\"oversubscribed\": %s}%s\n",
                  r.name.c_str(), r.threads, r.ops_per_sec, r.ns_per_op,
                  r.assembly_hit_ratio,
                  static_cast<unsigned long long>(r.total_ops),
+                 ToString(g_backend).c_str(), nproc,
+                 r.threads > nproc ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -588,9 +597,12 @@ int main(int argc, char** argv) {
   std::printf("%-30s %8s %14s %12s %9s\n", "benchmark", "threads", "ops/sec",
               "ns/op", "asm-hit");
   for (const BenchResult& r : results) {
-    std::printf("%-30s %8u %14.0f %12.2f %8.1f%%\n", r.name.c_str(),
+    std::printf("%-30s %8u %14.0f %12.2f %8.1f%%%s\n", r.name.c_str(),
                 r.threads, r.ops_per_sec, r.ns_per_op,
-                r.assembly_hit_ratio * 100);
+                r.assembly_hit_ratio * 100,
+                r.threads > std::thread::hardware_concurrency()
+                    ? "  (threads > cores)"
+                    : "");
   }
 
   const double hit1 = FindRow(results, "mt_fix_hit_t1").ops_per_sec;

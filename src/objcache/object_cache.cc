@@ -1,6 +1,8 @@
 #include "objcache/object_cache.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -43,19 +45,119 @@ std::string ObjCacheStats::ToString() const {
   return buf;
 }
 
-/// One independent slice of the cache. Everything here is guarded by `mu`;
-/// shard locks are never nested (InvalidatePages/Clear visit shards one at
-/// a time).
-struct ObjectCache::Shard {
-  std::mutex mu;
+namespace {
 
-  /// LRU order, front = coldest. Stores the keys; the map holds the
-  /// iterator for O(1) touch/erase.
-  std::list<ObjectRef> lru;
+/// Reader slots per shard; a power of two near the core counts this runs on.
+constexpr size_t kReaderSlots = 16;
+
+/// This thread's reader slot, assigned once from a global counter. Two
+/// threads that share an index share a cache line, nothing more — a
+/// slot's `active` is a count, not a flag.
+size_t ThreadSlotIndex() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t index =
+      next.fetch_add(1, std::memory_order_relaxed) % kReaderSlots;
+  return index;
+}
+
+/// Spins on `done` a bounded number of times, then yields between probes.
+template <typename Done>
+void WaitUntil(Done done) {
+  constexpr int kSpins = 64;
+  for (int spins = 0; !done(); ++spins) {
+    if (spins >= kSpins) std::this_thread::yield();
+  }
+}
+
+/// One cache line of a shard's read side. Lookup's hit and miss counters
+/// live beside the count, so counting writes no other line.
+struct alignas(64) ReaderSlot {
+  std::atomic<uint32_t> active{0};  ///< readers inside, via this slot
+  std::atomic<uint64_t> hits{0};    ///< Lookup hits through this slot
+  std::atomic<uint64_t> misses{0};  ///< Lookup misses through this slot
+};
+
+/// A shard's reader/writer lock. A reader writes only its own slot's line;
+/// writers serialise on a mutex, raise `writer_` and wait until every
+/// slot's count drains. The reader's add-then-load and the writer's
+/// store-then-load are a Dekker pair, so both sides use seq_cst there
+/// (an acquire load may be ordered before the preceding store on weakly
+/// ordered CPUs): a reader that saw no writer is counted before the writer
+/// checks its slot.
+class ReaderSlotLock {
+ public:
+  /// Read side; returns the caller's slot, to be passed to unlock_shared.
+  ReaderSlot& lock_shared() {
+    ReaderSlot& slot = slots_[ThreadSlotIndex()];
+    for (;;) {
+      slot.active.fetch_add(1, std::memory_order_seq_cst);
+      if (!writer_.load(std::memory_order_seq_cst)) return slot;
+      slot.active.fetch_sub(1, std::memory_order_release);
+      WaitUntil([&] { return !writer_.load(std::memory_order_acquire); });
+    }
+  }
+  static void unlock_shared(ReaderSlot& slot) {
+    slot.active.fetch_sub(1, std::memory_order_release);
+  }
+
+  /// Writer side (BasicLockable, for std::lock_guard).
+  void lock() {
+    mu_.lock();
+    writer_.store(true, std::memory_order_seq_cst);
+    for (const ReaderSlot& slot : slots_) {
+      WaitUntil([&] {
+        return slot.active.load(std::memory_order_seq_cst) == 0;
+      });
+    }
+  }
+  void unlock() {
+    writer_.store(false, std::memory_order_release);
+    mu_.unlock();
+  }
+
+  /// Excludes writers only — enough to read what only writers write.
+  std::mutex& writer_mutex() const { return mu_; }
+
+  const std::array<ReaderSlot, kReaderSlots>& slots() const { return slots_; }
+  std::array<ReaderSlot, kReaderSlots>& slots() { return slots_; }
+
+ private:
+  std::array<ReaderSlot, kReaderSlots> slots_;
+  std::atomic<bool> writer_{false};
+  mutable std::mutex mu_;
+};
+
+/// The read side held for one scope.
+class ReadGuard {
+ public:
+  explicit ReadGuard(ReaderSlotLock& lock) : slot_(lock.lock_shared()) {}
+  ~ReadGuard() { ReaderSlotLock::unlock_shared(slot_); }
+  ReadGuard(const ReadGuard&) = delete;
+  ReadGuard& operator=(const ReadGuard&) = delete;
+  ReaderSlot& slot() { return slot_; }
+
+ private:
+  ReaderSlot& slot_;
+};
+
+}  // namespace
+
+/// One independent slice of the cache. Lookup holds the read side of
+/// `lock`; every other operation holds its writer side, and everything
+/// below is written only there. Shard locks are never nested
+/// (InvalidatePages/Clear visit shards one at a time).
+struct ObjectCache::Shard {
+  ReaderSlotLock lock;
+
+  /// CLOCK order, front = next to be examined. Stores the keys; the map
+  /// holds the iterator for O(1) second-chance splice and erase. A hit
+  /// only sets its entry's `referenced` bit; Insert's eviction sweep
+  /// clears a set bit and moves that key to the back instead of evicting.
+  std::list<ObjectRef> clock;
 
   struct Slot {
-    ObjCacheEntryRef entry;
-    std::list<ObjectRef>::iterator lru_it;
+    std::shared_ptr<ObjCacheEntry> entry;
+    std::list<ObjectRef>::iterator clock_it;
   };
   std::unordered_map<ObjectRef, Slot> map;
 
@@ -68,14 +170,14 @@ struct ObjectCache::Shard {
   // An entry is charged the bytes of every structure it owns or adds to
   // the shard, at their sizeof (64-bit libstdc++ sizes in the comments):
   //   * the make_shared block: control header (vtable pointer + two 32-bit
-  //     counts = 16 B) + ObjCacheEntry (string 32 + vector 24 + size_t 8
-  //     = 64 B) = 80 B;
+  //     counts = 16 B) + ObjCacheEntry (string 32 + vector 24 + 32-bit
+  //     charge and reference bit 8 = 64 B) = 80 B;
   //   * the image's heap buffer once it outgrows the string's inline (SSO)
   //     capacity: capacity + NUL (Insert trims capacity to size);
   //   * the page list's buffer: sizeof(PageId) per page (trimmed too);
-  //   * the map node: next pointer + key + Slot (shared_ptr 16 + LRU
+  //   * the map node: next pointer + key + Slot (shared_ptr 16 + list
   //     iterator 8) = 40 B, plus its bucket pointer (max load factor 1);
-  //   * the LRU node: 2 links + key = 24 B;
+  //   * the CLOCK list node: 2 links + key = 24 B;
   //   * one ObjectRef per page in the page index's per-page vectors.
   // A typical hot object (173 B image, 3 pages) is charged 80 + 174 + 12
   // + 48 + 24 + 24 = 362 B. A page-index node (next pointer + PageId +
@@ -111,14 +213,15 @@ struct ObjectCache::Shard {
   /// entry's EntryCharge plus kPageNodeCharge per page-index node.
   size_t bytes = 0;
 
-  void Charge(size_t n, AtomicObjCacheStats* stats) {
-    bytes += n;
-    stats->bytes.fetch_add(n, std::memory_order_relaxed);
-  }
-  void Release(size_t n, AtomicObjCacheStats* stats) {
-    bytes -= n;
-    stats->bytes.fetch_sub(n, std::memory_order_relaxed);
-  }
+  /// Writer-side counters (ObjCacheStats' fields of the same names). Hits
+  /// and misses live in the reader slots; the entry gauges are the
+  /// containers' sizes.
+  uint64_t inserts = 0;
+  uint64_t evictions = 0;
+  uint64_t invalidations = 0;
+  uint64_t stale_drops = 0;
+  uint64_t negative_hits = 0;
+  uint64_t negative_inserts = 0;
 
   /// Negative side table: refs whose last model probe came back NotFound,
   /// stamped with the epoch at probe time. An entry is only believed while
@@ -131,6 +234,24 @@ struct ObjectCache::Shard {
     std::list<ObjectRef>::iterator lru_it;
   };
   std::unordered_map<ObjectRef, NegSlot> neg_map;
+
+  /// Adds this shard's counters and gauges to `out`.
+  void AddTo(ObjCacheStats* out) const {
+    std::lock_guard<std::mutex> guard(lock.writer_mutex());
+    for (const ReaderSlot& slot : lock.slots()) {
+      out->hits += slot.hits.load(std::memory_order_relaxed);
+      out->misses += slot.misses.load(std::memory_order_relaxed);
+    }
+    out->inserts += inserts;
+    out->evictions += evictions;
+    out->invalidations += invalidations;
+    out->stale_drops += stale_drops;
+    out->negative_hits += negative_hits;
+    out->negative_inserts += negative_inserts;
+    out->bytes += bytes;
+    out->entries += map.size();
+    out->negative_entries += neg_map.size();
+  }
 };
 
 ObjectCache::ObjectCache(const ObjCacheOptions& options) : options_(options) {
@@ -151,36 +272,39 @@ ObjectCache::~ObjectCache() = default;
 
 ObjCacheEntryRef ObjectCache::Lookup(ObjectRef ref, uint64_t* epoch_out) {
   Shard& shard = ShardOf(ref);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  ReadGuard read(shard.lock);
   auto it = shard.map.find(ref);
   if (it == shard.map.end()) {
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    read.slot().misses.fetch_add(1, std::memory_order_relaxed);
     if (epoch_out != nullptr) *epoch_out = shard.epoch;
     return nullptr;
   }
-  stats_.hits.fetch_add(1, std::memory_order_relaxed);
-  // Touch: splice the key to the MRU end without invalidating iterators.
-  shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru_it);
+  read.slot().hits.fetch_add(1, std::memory_order_relaxed);
+  // CLOCK touch: store only when the bit is clear, so a hot entry's line
+  // stays shared between the threads that hit it.
+  std::atomic<bool>& referenced = it->second.entry->referenced;
+  if (!referenced.load(std::memory_order_relaxed)) {
+    referenced.store(true, std::memory_order_relaxed);
+  }
   return it->second.entry;
 }
 
 bool ObjectCache::EraseLocked(Shard& shard, ObjectRef ref) {
   auto it = shard.map.find(ref);
   if (it == shard.map.end()) return false;
-  const ObjCacheEntryRef& entry = it->second.entry;
-  for (PageId page : entry->pages) {
+  const ObjCacheEntry& entry = *it->second.entry;
+  for (PageId page : entry.pages) {
     auto page_it = shard.page_index.find(page);
     if (page_it == shard.page_index.end()) continue;
     std::vector<ObjectRef>& refs = page_it->second;
     refs.erase(std::remove(refs.begin(), refs.end(), ref), refs.end());
     if (refs.empty()) {
       shard.page_index.erase(page_it);
-      shard.Release(Shard::kPageNodeCharge, &stats_);
+      shard.bytes -= Shard::kPageNodeCharge;
     }
   }
-  shard.Release(entry->bytes, &stats_);
-  stats_.entries.fetch_sub(1, std::memory_order_relaxed);
-  shard.lru.erase(it->second.lru_it);
+  shard.bytes -= entry.bytes;
+  shard.clock.erase(it->second.clock_it);
   shard.map.erase(it);
   return true;
 }
@@ -198,42 +322,50 @@ void ObjectCache::Insert(ObjectRef ref, std::string image,
   auto entry = std::make_shared<ObjCacheEntry>();
   entry->image = std::move(image);
   entry->pages = std::move(pages);
-  entry->bytes = Shard::EntryCharge(*entry);
+  const size_t charge = Shard::EntryCharge(*entry);
+  entry->bytes = static_cast<uint32_t>(charge);
   // Room for the entry and, at worst, a new page-index node per page.
-  const size_t need =
-      entry->bytes + entry->pages.size() * Shard::kPageNodeCharge;
+  const size_t need = charge + entry->pages.size() * Shard::kPageNodeCharge;
 
   Shard& shard = ShardOf(ref);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<ReaderSlotLock> lock(shard.lock);
   if (shard.epoch != epoch) {
     // An invalidation ran after this assembly sampled the epoch: the pages
     // it read may have been mid-write. Never publish it.
-    stats_.stale_drops.fetch_add(1, std::memory_order_relaxed);
+    ++shard.stale_drops;
     return;
   }
   EraseLocked(shard, ref);
-  if (need > shard_capacity_) return;  // would evict everything
-  while (shard.bytes + need > shard_capacity_ && !shard.lru.empty()) {
-    const ObjectRef victim = shard.lru.front();
+  // Would evict everything, or overflow the entry's 32-bit charge.
+  if (need > shard_capacity_ || charge != entry->bytes) return;
+  while (shard.bytes + need > shard_capacity_ && !shard.clock.empty()) {
+    const ObjectRef victim = shard.clock.front();
+    Shard::Slot& slot = shard.map.find(victim)->second;
+    if (slot.entry->referenced.exchange(false, std::memory_order_relaxed)) {
+      // Second chance: hit since the sweep last passed it.
+      shard.clock.splice(shard.clock.end(), shard.clock, slot.clock_it);
+      continue;
+    }
     EraseLocked(shard, victim);
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+    ++shard.evictions;
   }
-  auto lru_it = shard.lru.insert(shard.lru.end(), ref);
+  auto clock_it = shard.clock.insert(shard.clock.end(), ref);
   for (PageId page : entry->pages) {
     auto [it, fresh] = shard.page_index.try_emplace(page);
-    if (fresh) shard.Charge(Shard::kPageNodeCharge, &stats_);
+    if (fresh) shard.bytes += Shard::kPageNodeCharge;
     it->second.push_back(ref);
   }
-  shard.Charge(entry->bytes, &stats_);
-  stats_.entries.fetch_add(1, std::memory_order_relaxed);
-  stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-  shard.map.emplace(ref, Shard::Slot{std::move(entry), lru_it});
+  shard.bytes += charge;
+  ++shard.inserts;
+  shard.map.emplace(ref, Shard::Slot{std::move(entry), clock_it});
 }
 
 bool ObjectCache::LookupNegative(ObjectRef ref) {
   if (negative_capacity_ == 0) return false;
   Shard& shard = ShardOf(ref);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  // Writer side: a hit splices the negative LRU and a stale verdict is
+  // reaped. Only Get misses come here.
+  std::lock_guard<ReaderSlotLock> lock(shard.lock);
   auto it = shard.neg_map.find(ref);
   if (it == shard.neg_map.end()) return false;
   if (it->second.epoch != shard.epoch) {
@@ -241,22 +373,21 @@ bool ObjectCache::LookupNegative(ObjectRef ref) {
     // now. Reap the stale entry instead of letting the LRU carry it.
     shard.neg_lru.erase(it->second.lru_it);
     shard.neg_map.erase(it);
-    stats_.negative_entries.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }
   shard.neg_lru.splice(shard.neg_lru.end(), shard.neg_lru, it->second.lru_it);
-  stats_.negative_hits.fetch_add(1, std::memory_order_relaxed);
+  ++shard.negative_hits;
   return true;
 }
 
 void ObjectCache::InsertNegative(ObjectRef ref, uint64_t epoch) {
   if (negative_capacity_ == 0) return;
   Shard& shard = ShardOf(ref);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<ReaderSlotLock> lock(shard.lock);
   if (shard.epoch != epoch) {
     // A write overlapped the model probe; its NotFound verdict may already
     // be wrong (a concurrent Put can have created the object).
-    stats_.stale_drops.fetch_add(1, std::memory_order_relaxed);
+    ++shard.stale_drops;
     return;
   }
   auto it = shard.neg_map.find(ref);
@@ -270,23 +401,19 @@ void ObjectCache::InsertNegative(ObjectRef ref, uint64_t epoch) {
          !shard.neg_lru.empty()) {
     shard.neg_map.erase(shard.neg_lru.front());
     shard.neg_lru.pop_front();
-    stats_.negative_entries.fetch_sub(1, std::memory_order_relaxed);
   }
   auto lru_it = shard.neg_lru.insert(shard.neg_lru.end(), ref);
   shard.neg_map.emplace(ref, Shard::NegSlot{epoch, lru_it});
-  stats_.negative_inserts.fetch_add(1, std::memory_order_relaxed);
-  stats_.negative_entries.fetch_add(1, std::memory_order_relaxed);
+  ++shard.negative_inserts;
 }
 
 void ObjectCache::InvalidateRef(ObjectRef ref) {
   Shard& shard = ShardOf(ref);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<ReaderSlotLock> lock(shard.lock);
   // Bump even when absent: an in-flight assembly of `ref` may be about to
   // publish a pre-write snapshot, and the epoch is what stops it.
   ++shard.epoch;
-  if (EraseLocked(shard, ref)) {
-    stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (EraseLocked(shard, ref)) ++shard.invalidations;
   // The usual caller is a write to `ref` itself — after a Put the object
   // exists, so the negative verdict must go at once (the epoch bump alone
   // would only neutralize it).
@@ -294,7 +421,6 @@ void ObjectCache::InvalidateRef(ObjectRef ref) {
   if (neg_it != shard.neg_map.end()) {
     shard.neg_lru.erase(neg_it->second.lru_it);
     shard.neg_map.erase(neg_it);
-    stats_.negative_entries.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -303,7 +429,7 @@ void ObjectCache::InvalidatePages(const std::vector<PageId>& pages) {
   std::vector<ObjectRef> victims;
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::lock_guard<ReaderSlotLock> lock(shard.lock);
     // Every shard's epoch moves: a write is in flight, and any concurrent
     // assembly (whatever its ref) may have read a half-applied page.
     ++shard.epoch;
@@ -314,9 +440,7 @@ void ObjectCache::InvalidatePages(const std::vector<PageId>& pages) {
       victims.insert(victims.end(), it->second.begin(), it->second.end());
     }
     for (ObjectRef ref : victims) {
-      if (EraseLocked(shard, ref)) {
-        stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (EraseLocked(shard, ref)) ++shard.invalidations;
     }
   }
 }
@@ -324,25 +448,37 @@ void ObjectCache::InvalidatePages(const std::vector<PageId>& pages) {
 void ObjectCache::Clear() {
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::lock_guard<ReaderSlotLock> lock(shard.lock);
     ++shard.epoch;
-    stats_.invalidations.fetch_add(shard.map.size(),
-                                   std::memory_order_relaxed);
-    stats_.entries.fetch_sub(shard.map.size(), std::memory_order_relaxed);
-    stats_.bytes.fetch_sub(shard.bytes, std::memory_order_relaxed);
+    shard.invalidations += shard.map.size();
     shard.map.clear();
-    shard.lru.clear();
+    shard.clock.clear();
     shard.page_index.clear();
     shard.bytes = 0;
-    stats_.negative_entries.fetch_sub(shard.neg_map.size(),
-                                      std::memory_order_relaxed);
     shard.neg_map.clear();
     shard.neg_lru.clear();
   }
 }
 
-size_t ObjectCache::TotalBytes() const {
-  return stats_.bytes.load(std::memory_order_relaxed);
+ObjCacheStats ObjectCache::stats() const {
+  ObjCacheStats total;
+  for (const auto& shard : shards_) shard->AddTo(&total);
+  return total;
 }
+
+void ObjectCache::ResetStats() {
+  for (const auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    std::lock_guard<std::mutex> guard(shard.lock.writer_mutex());
+    for (ReaderSlot& slot : shard.lock.slots()) {
+      slot.hits.store(0, std::memory_order_relaxed);
+      slot.misses.store(0, std::memory_order_relaxed);
+    }
+    shard.inserts = shard.evictions = shard.invalidations = 0;
+    shard.stale_drops = shard.negative_hits = shard.negative_inserts = 0;
+  }
+}
+
+size_t ObjectCache::TotalBytes() const { return stats().bytes; }
 
 }  // namespace starfish

@@ -24,16 +24,18 @@
 /// object-granular counterpart of the paper's page-granular Fig. 6 buffer
 /// study.
 ///
-/// Shape: a sharded, size-capped LRU map from ObjectRef to an immutable
-/// cache entry holding the object's image — its DASDBS flat images in DFS
+/// Shape: a sharded, size-capped map from ObjectRef to an immutable cache
+/// entry holding the object's image — its DASDBS flat images in DFS
 /// order, one string (nf2/serializer.h defines the format and decodes it;
 /// this layer never looks inside) — plus the set of buffer pages that
 /// backed the assembly. Entries are handed out as
 /// shared_ptr<const Entry> — the object-level analog of a PageGuard pin:
 /// an invalidation drops the cache's reference immediately, while a reader
 /// that already holds the entry keeps a consistent (pre-write) image alive
-/// until it lets go. Nothing is ever mutated in place, so a reader can
-/// never observe a half-invalidated entry.
+/// until it lets go. No image or page list is ever mutated in place, so a
+/// reader can never observe a half-invalidated entry. Eviction is CLOCK: a hit sets
+/// the entry's reference bit (a store only when it is clear), and Insert's
+/// sweep gives a set bit one second chance before evicting.
 ///
 /// Invalidation protocol (see docs/OBJCACHE.md):
 ///   * Write path — the store calls InvalidatePages(dirtied) +
@@ -50,10 +52,14 @@
 ///     fallback scrub ran, so recovery structurally cannot resurrect a
 ///     pre-crash assembly.
 ///
-/// Thread safety: all public methods are safe from any thread (per-shard
-/// mutexes; counters are relaxed atomics). The cache imposes no ordering of
-/// its own — the store's single-writer/multi-reader contract still governs
-/// who may touch the pages underneath.
+/// Thread safety: all public methods are safe from any thread. Each shard
+/// has a reader/writer lock built from per-thread reader slots: Lookup
+/// only increments and decrements its own slot's count (and that slot's
+/// hit or miss counter), so concurrent hits write no cache line another
+/// thread also writes. Every other method takes the writer side, which
+/// waits for the slots to drain. The cache imposes no ordering of its own
+/// — the store's single-writer/multi-reader contract still governs who may
+/// touch the pages underneath.
 
 namespace starfish {
 
@@ -74,7 +80,9 @@ struct ObjCacheOptions {
 
   /// Number of independent shards. 0 (default) derives a power of two from
   /// the hardware concurrency; other values are rounded up to a power of
-  /// two. More shards = less reader contention, coarser per-shard LRU.
+  /// two. Hits take no shard-wide lock, so shards spread writers (inserts,
+  /// invalidations) rather than readers; each shard runs its own CLOCK
+  /// over its slice of the capacity.
   uint32_t shard_count = 0;
 
   /// Total bound on negative entries (refs known NOT to exist), split
@@ -125,59 +133,19 @@ struct ObjCacheStats {
   std::string ToString() const;
 };
 
-/// The accumulator behind ObjCacheStats: one relaxed fetch_add per counted
-/// event, exactly the AtomicIoStats pattern — statistics, not
-/// synchronization, and no increment is ever lost. The two gauges move in
-/// both directions (fetch_add/fetch_sub under the owning shard's lock).
-struct AtomicObjCacheStats {
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> inserts{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> invalidations{0};
-  std::atomic<uint64_t> stale_drops{0};
-  std::atomic<uint64_t> negative_hits{0};
-  std::atomic<uint64_t> negative_inserts{0};
-  std::atomic<uint64_t> bytes{0};
-  std::atomic<uint64_t> entries{0};
-  std::atomic<uint64_t> negative_entries{0};
-
-  ObjCacheStats Snapshot() const {
-    ObjCacheStats s;
-    s.hits = hits.load(std::memory_order_relaxed);
-    s.misses = misses.load(std::memory_order_relaxed);
-    s.inserts = inserts.load(std::memory_order_relaxed);
-    s.evictions = evictions.load(std::memory_order_relaxed);
-    s.invalidations = invalidations.load(std::memory_order_relaxed);
-    s.stale_drops = stale_drops.load(std::memory_order_relaxed);
-    s.negative_hits = negative_hits.load(std::memory_order_relaxed);
-    s.negative_inserts = negative_inserts.load(std::memory_order_relaxed);
-    s.bytes = bytes.load(std::memory_order_relaxed);
-    s.entries = entries.load(std::memory_order_relaxed);
-    s.negative_entries = negative_entries.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  /// Zeroes the monotonic counters. The gauges describe what is resident
-  /// right now, so a stats reset leaves them alone.
-  void Reset() {
-    hits.store(0, std::memory_order_relaxed);
-    misses.store(0, std::memory_order_relaxed);
-    inserts.store(0, std::memory_order_relaxed);
-    evictions.store(0, std::memory_order_relaxed);
-    invalidations.store(0, std::memory_order_relaxed);
-    stale_drops.store(0, std::memory_order_relaxed);
-    negative_hits.store(0, std::memory_order_relaxed);
-    negative_inserts.store(0, std::memory_order_relaxed);
-  }
-};
-
-/// One cached assembly. Immutable after construction; shared between the
-/// cache and any readers still holding it (the pin).
+/// One cached assembly. The image and page list are immutable after
+/// construction; the entry is shared between the cache and any readers
+/// still holding it (the pin).
 struct ObjCacheEntry {
   std::string image;          ///< the full object's image (all paths)
   std::vector<PageId> pages;  ///< buffer pages observed while assembling
-  size_t bytes = 0;           ///< capacity charge (see object_cache.cc)
+  /// Capacity charge (see object_cache.cc). An object charged 4 GiB or
+  /// more is not cached.
+  uint32_t bytes = 0;
+  /// The cache's CLOCK reference bit: set by a hit, cleared by the
+  /// eviction sweep. Bookkeeping of the cache, not part of the object;
+  /// it sits beside `bytes` so the entry's size, and its charge, stay put.
+  std::atomic<bool> referenced{false};
 };
 
 /// A pinned reference to a cached assembly. Holding it keeps the (already
@@ -185,14 +153,14 @@ struct ObjCacheEntry {
 /// frame across eviction pressure.
 using ObjCacheEntryRef = std::shared_ptr<const ObjCacheEntry>;
 
-/// The sharded assembled-object LRU. See the file comment for the model.
+/// The sharded assembled-object cache. See the file comment for the model.
 class ObjectCache {
  public:
   explicit ObjectCache(const ObjCacheOptions& options);
   ~ObjectCache();  // out of line: Shard is incomplete here
 
-  /// Probes for `ref`. On a hit the entry moves to the MRU end of its
-  /// shard and a pinned reference is returned. On a miss returns null and,
+  /// Probes for `ref`. On a hit the entry's CLOCK reference bit is set and
+  /// a pinned reference is returned. On a miss returns null and,
   /// when `epoch_out` is non-null, stores the shard's current invalidation
   /// epoch — sample it BEFORE reading any page, and pass it to Insert so
   /// an assembly that overlapped an invalidation is discarded.
@@ -201,8 +169,9 @@ class ObjectCache {
   /// Publishes the image of an assembly produced after a Lookup miss
   /// returned `epoch`. Discarded (counted as a stale drop) when the shard's
   /// epoch has moved since — the write that moved it may have made this
-  /// assembly stale. Replaces an existing entry for `ref`; evicts LRU
-  /// entries to fit; silently skips objects larger than one shard's
+  /// assembly stale. Replaces an existing entry for `ref`; evicts entries
+  /// to fit, by CLOCK (an entry hit since the sweep last passed it gets a
+  /// second chance); silently skips objects larger than one shard's
   /// capacity slice.
   void Insert(ObjectRef ref, std::string image, std::vector<PageId> pages,
               uint64_t epoch);
@@ -236,8 +205,10 @@ class ObjectCache {
   /// Drops everything and bumps every epoch (wholesale invalidation).
   void Clear();
 
-  ObjCacheStats stats() const { return stats_.Snapshot(); }
-  void ResetStats() { stats_.Reset(); }
+  /// Sums every shard's counters and gauges.
+  ObjCacheStats stats() const;
+  /// Zeroes the monotonic counters; the gauges describe what is resident.
+  void ResetStats();
 
   size_t capacity_bytes() const { return options_.capacity_bytes; }
   uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
@@ -254,8 +225,8 @@ class ObjectCache {
     return *shards_[((ref * 0x9E3779B97F4A7C15ull) >> 56) & mask_];
   }
 
-  /// Unlinks `ref` from the shard's map/LRU/page index and releases its
-  /// capacity charge. Shard lock held. Returns false when absent.
+  /// Unlinks `ref` from the shard's map/CLOCK list/page index and releases
+  /// its capacity charge. Writer side held. Returns false when absent.
   bool EraseLocked(Shard& shard, ObjectRef ref);
 
   ObjCacheOptions options_;
@@ -263,7 +234,6 @@ class ObjectCache {
   size_t negative_capacity_ = 0;  ///< negative entries per shard (0 = off)
   uint64_t mask_ = 0;          ///< shard count - 1 (count is a power of two)
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable AtomicObjCacheStats stats_;
 };
 
 }  // namespace starfish

@@ -89,6 +89,9 @@ void CheckVolume(FsckContext* ctx) {
       ReplayVolumeMeta(ctx->dir + "/volume.meta", &replay);
   if (!replayed.ok()) {
     ctx->Error("volume.meta: " + replayed.ToString());
+    ctx->report->volume_replay_failed = true;
+    ctx->Info("cataloged pages not checked against the allocator or read: "
+              "volume.meta did not replay");
     return;
   }
   if (!replay.found) return;  // an empty / catalog-only directory
@@ -157,12 +160,15 @@ void CheckCatalogedPage(FsckContext* ctx, uint32_t segment_ordinal,
                         uint32_t hint, PageType type) {
   const std::string where =
       "segment '" + segment_name + "' page " + std::to_string(page);
-  if (page >= ctx->meta.page_count) {
+  // A volume.meta that did not replay leaves no allocator state, page size
+  // or extent geometry to hold the page against; its error says so once.
+  const bool allocator_known = !ctx->report->volume_replay_failed;
+  if (allocator_known && page >= ctx->meta.page_count) {
     ctx->Error(where + ": beyond the volume's " +
                std::to_string(ctx->meta.page_count) + " pages");
     return;
   }
-  if (ctx->meta.freed[page]) {
+  if (allocator_known && ctx->meta.freed[page]) {
     ctx->Error(where + ": referenced by the catalog but freed in the "
                "allocator journal");
   }
@@ -173,6 +179,7 @@ void CheckCatalogedPage(FsckContext* ctx, uint32_t segment_ordinal,
                std::to_string(it->second.first));
     return;
   }
+  if (!allocator_known) return;
   if (hint != kNotSlotted &&
       hint > ctx->meta.options.page_size) {
     ctx->Error(where + ": free-space hint " + std::to_string(hint) +
@@ -727,6 +734,8 @@ std::string FsckReport::ToString() const {
            std::to_string(live_pages) + " live), page size " +
            std::to_string(page_size) + ", " + std::to_string(extent_files) +
            " extent files\n";
+  } else if (volume_replay_failed) {
+    out += "  volume: volume.meta did not replay\n";
   } else {
     out += "  volume: no volume.meta\n";
   }

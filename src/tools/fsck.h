@@ -65,6 +65,9 @@ struct FsckReport {
 
   // Volume layer.
   bool volume_found = false;
+  /// volume.meta exists but did not replay (its error is in `errors`);
+  /// cataloged pages are then not checked against the allocator.
+  bool volume_replay_failed = false;
   uint64_t page_count = 0;   ///< durable allocator page count
   uint64_t live_pages = 0;   ///< allocated and not freed
   uint32_t page_size = 0;

@@ -91,6 +91,133 @@ TEST(ObjCacheMtTest, RawCacheSurvivesFullApiHammering) {
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
+// Readers loop Lookup while one thread runs every writer-side operation.
+// A reader may miss at any time, but every image it gets back must be one
+// the writer inserted for that ref: never another ref's, never a version
+// that was not yet published.
+TEST(ObjCacheMtTest, ReadersSeeOnlyInsertedImagesWhileOneThreadWrites) {
+  ObjCacheOptions options;
+  options.enabled = true;
+  options.capacity_bytes = 16 << 10;  // small: inserts evict, readers hit
+  options.shard_count = 2;
+  ObjectCache cache(options);
+
+  constexpr uint32_t kRefs = 48;
+  constexpr int kWriterOps = 6000;
+  auto image = [](ObjectRef ref, uint32_t version) {
+    return ValueImage(ref) + "/v" + std::to_string(version);
+  };
+  // The highest version of each ref handed to Insert so far.
+  std::vector<std::atomic<uint32_t>> published(kRefs);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> hits{0};
+
+  std::vector<std::thread> readers;
+  for (uint32_t t = 0; t < kReaderThreads; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(0x5EAD + t);
+      uint64_t local_hits = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const ObjectRef ref = rng.Uniform(kRefs);
+        ObjCacheEntryRef entry = cache.Lookup(ref);
+        if (entry == nullptr) continue;
+        ++local_hits;
+        const std::string prefix = ValueImage(ref) + "/v";
+        ASSERT_EQ(entry->image.compare(0, prefix.size(), prefix), 0)
+            << entry->image << " served for ref " << ref;
+        const uint32_t version = static_cast<uint32_t>(
+            std::stoul(entry->image.substr(prefix.size())));
+        ASSERT_LE(version, published[ref].load(std::memory_order_acquire))
+            << "ref " << ref << " served a version never inserted";
+        ASSERT_EQ(entry->pages, (std::vector<PageId>{
+                                    static_cast<PageId>(ref)}));
+      }
+      hits.fetch_add(local_hits, std::memory_order_relaxed);
+    });
+  }
+
+  Rng rng(0x3217E);
+  uint32_t version = 0;
+  for (int i = 0; i < kWriterOps; ++i) {
+    const ObjectRef ref = rng.Uniform(kRefs);
+    switch (rng.Uniform(16)) {
+      case 0:
+        cache.InvalidateRef(ref);
+        break;
+      case 1:
+        cache.InvalidatePages({static_cast<PageId>(ref)});
+        break;
+      case 2:
+        if (i % 16 == 0) cache.Clear();
+        break;
+      default: {
+        uint64_t epoch = 0;
+        cache.Lookup(ref, &epoch);
+        published[ref].store(++version, std::memory_order_release);
+        cache.Insert(ref, image(ref, version), {static_cast<PageId>(ref)},
+                     epoch);
+        break;
+      }
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_GT(hits.load(), 0u) << "no reader ever hit: the race was not run";
+  EXPECT_EQ(cache.stats().bytes, cache.TotalBytes());
+}
+
+// Hits and misses are counted per reader slot and summed at snapshot: with
+// twice as many threads as the cache has reader slots (16), every slot is
+// shared, and still no increment may be lost.
+TEST(ObjCacheMtTest, ConcurrentLookupsCountExactly) {
+  ObjCacheOptions options;
+  options.enabled = true;
+  options.shard_count = 4;
+  ObjectCache cache(options);
+  constexpr uint32_t kPresent = 64;  // refs [0, 64) cached, [64, 128) not
+  for (ObjectRef ref = 0; ref < kPresent; ++ref) {
+    uint64_t epoch = 0;
+    cache.Lookup(ref, &epoch);
+    cache.Insert(ref, ValueImage(ref), {static_cast<PageId>(ref)}, epoch);
+  }
+  const ObjCacheStats filled = cache.stats();
+  ASSERT_EQ(filled.entries, kPresent);
+  cache.ResetStats();
+  ASSERT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+
+  constexpr uint32_t kThreads = 32;
+  // Per thread: every ref the same number of times, so exactly half hit.
+  constexpr uint32_t kLookups = 1024 * 2 * kPresent;
+  std::atomic<bool> go{false};  // start together, so slot sharers overlap
+  std::vector<std::thread> pool;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (uint32_t i = 0; i < kLookups; ++i) {
+        const ObjectRef ref = (7 * t + i) % (2 * kPresent);
+        const bool hit = cache.Lookup(ref) != nullptr;
+        ASSERT_EQ(hit, ref < kPresent) << "ref " << ref;
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : pool) th.join();
+
+  const ObjCacheStats after = cache.stats();
+  EXPECT_EQ(after.hits, kThreads * kLookups / 2);
+  EXPECT_EQ(after.misses, kThreads * kLookups / 2);
+  EXPECT_EQ(after.entries, filled.entries);
+  EXPECT_EQ(after.bytes, filled.bytes);
+
+  cache.ResetStats();
+  const ObjCacheStats reset = cache.stats();
+  EXPECT_EQ(reset.hits, 0u);
+  EXPECT_EQ(reset.misses, 0u);
+  EXPECT_EQ(reset.inserts, 0u);
+  EXPECT_EQ(reset.entries, filled.entries) << "reset moved a gauge";
+  EXPECT_EQ(reset.bytes, filled.bytes) << "reset moved a gauge";
+}
+
 class ObjCacheMtStoreTest : public ::testing::TestWithParam<VolumeKind> {
  protected:
   void SetUp() override {

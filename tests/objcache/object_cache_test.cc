@@ -1,4 +1,5 @@
-// Unit tests of the raw ObjectCache (LRU, capacity, epochs, page index)
+// Unit tests of the raw ObjectCache (CLOCK eviction, capacity, epochs, page
+// index)
 // plus store-level correctness of the cached read paths: every cached
 // answer must be byte-equal to what the uncached store returns, across all
 // models, projections and write ops.
@@ -61,34 +62,62 @@ TEST(ObjectCacheTest, MissThenInsertThenHit) {
   EXPECT_EQ(stats.bytes, cache.TotalBytes());
 }
 
-TEST(ObjectCacheTest, CapacityEvictsLruFirst) {
-  // Measure one entry's charge (the images below all have the same size),
-  // then size a single shard to hold exactly three.
-  size_t charge = 0;
-  {
-    ObjectCache probe(TinyOptions());
-    uint64_t epoch = 0;
-    probe.Lookup(0, &epoch);
-    probe.Insert(0, SmallImage(0), {}, epoch);
-    charge = probe.stats().bytes;
-    ASSERT_GT(charge, 0u);
-  }
-  ObjectCache cache(TinyOptions(3 * charge, 1));
-  for (ObjectRef ref = 0; ref < 3; ++ref) {
-    uint64_t epoch = 0;
-    cache.Lookup(ref, &epoch);
-    cache.Insert(ref, SmallImage(static_cast<int32_t>(ref)), {}, epoch);
-  }
-  ASSERT_EQ(cache.stats().entries, 3u);
-  // Touch 0 so 1 becomes the LRU victim.
-  EXPECT_NE(cache.Lookup(0), nullptr);
+/// One page-less SmallImage entry's charge (every SmallImage is the same
+/// size, so every such entry is charged the same).
+size_t SmallEntryCharge() {
+  ObjectCache probe(TinyOptions());
   uint64_t epoch = 0;
-  cache.Lookup(99, &epoch);
-  cache.Insert(99, SmallImage(99), {}, epoch);
+  probe.Lookup(0, &epoch);
+  probe.Insert(0, SmallImage(0), {}, epoch);
+  return probe.stats().bytes;
+}
+
+void InsertSmall(ObjectCache* cache, ObjectRef ref) {
+  uint64_t epoch = 0;
+  cache->Lookup(ref, &epoch);
+  cache->Insert(ref, SmallImage(static_cast<int32_t>(ref)), {}, epoch);
+}
+
+TEST(ObjectCacheTest, CapacityEvictsLruFirst) {
+  // A single shard sized to hold exactly three entries.
+  const size_t charge = SmallEntryCharge();
+  ASSERT_GT(charge, 0u);
+  ObjectCache cache(TinyOptions(3 * charge, 1));
+  for (ObjectRef ref = 0; ref < 3; ++ref) InsertSmall(&cache, ref);
+  ASSERT_EQ(cache.stats().entries, 3u);
+  // Touch 0: the sweep gives it a second chance, so 1 is the victim.
+  EXPECT_NE(cache.Lookup(0), nullptr);
+  InsertSmall(&cache, 99);
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_NE(cache.Lookup(0), nullptr) << "recently touched entry evicted";
   EXPECT_EQ(cache.Lookup(1), nullptr) << "LRU entry survived";
   EXPECT_NE(cache.Lookup(99), nullptr);
+}
+
+TEST(ObjectCacheTest, ClockSweepGivesHitEntriesOneSecondChance) {
+  const size_t charge = SmallEntryCharge();
+  ASSERT_GT(charge, 0u);
+  ObjectCache cache(TinyOptions(3 * charge, 1));
+  for (ObjectRef ref = 0; ref < 3; ++ref) InsertSmall(&cache, ref);
+  // Hit all three, newest first. Recency would now make 2 the victim;
+  // CLOCK clears every bit in one pass and then evicts in insertion
+  // order, so 0 goes. (A miss sets no bit, so probing for a victim with
+  // Lookup does not disturb the sweep.)
+  for (ObjectRef ref : {2, 1, 0}) ASSERT_NE(cache.Lookup(ref), nullptr);
+  InsertSmall(&cache, 3);
+  EXPECT_EQ(cache.Lookup(0), nullptr) << "CLOCK keeps insertion order";
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+
+  // The sweep left 1, 2 and 3 unreferenced, 1 at the front. Hitting 1 now
+  // earns it a second chance, so 2 goes instead (FIFO would evict 1).
+  ASSERT_NE(cache.Lookup(1), nullptr);
+  InsertSmall(&cache, 4);
+  EXPECT_EQ(cache.Lookup(2), nullptr) << "unreferenced entry survived";
+  EXPECT_NE(cache.Lookup(1), nullptr) << "entry hit after the sweep evicted";
+  EXPECT_NE(cache.Lookup(3), nullptr);
+  EXPECT_NE(cache.Lookup(4), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
 TEST(ObjectCacheTest, OversizeEntryIsNotCached) {

@@ -132,6 +132,38 @@ TEST_F(FsckTest, MissingVolumeMetaFailsTheCatalogChecks) {
   EXPECT_FALSE(report.clean()) << report.ToString();
 }
 
+TEST_F(FsckTest, UnreplayableVolumeMetaIsOneErrorNotOnePerPage) {
+  BuildStore();
+  // Restamp volume.meta's version field (after the 4-byte magic) to 1.
+  std::FILE* f = std::fopen((dir_ + "/volume.meta").c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 4, SEEK_SET);
+  const unsigned char version1[4] = {1, 0, 0, 0};
+  std::fwrite(version1, 1, sizeof(version1), f);
+  std::fclose(f);
+  auto report_or = RunFsck(dir_, FsckOptions{/*verbose=*/true});
+  ASSERT_TRUE(report_or.ok()) << report_or.status().ToString();
+  const FsckReport& report = report_or.value();
+  EXPECT_FALSE(report.clean());
+  EXPECT_FALSE(report.volume_found);
+  EXPECT_TRUE(report.volume_replay_failed);
+  EXPECT_TRUE(report.catalog_found) << report.ToString();
+  ASSERT_EQ(report.errors.size(), 1u) << report.ToString();
+  EXPECT_NE(report.errors[0].find("version 1"), std::string::npos)
+      << report.ToString();
+  EXPECT_EQ(report.ToString().find("beyond the volume"), std::string::npos)
+      << report.ToString();
+  EXPECT_EQ(report.ToString().find("no volume.meta"), std::string::npos)
+      << report.ToString();
+  bool says_skipped = false;
+  for (const std::string& line : report.info) {
+    if (line.find("not checked against the allocator") != std::string::npos) {
+      says_skipped = true;
+    }
+  }
+  EXPECT_TRUE(says_skipped) << report.ToString();
+}
+
 TEST_F(FsckTest, TamperedPageHeaderIsAnError) {
   BuildStore();
   // Flip the segment-id field (byte 8) of page 0's header in place.
